@@ -343,12 +343,22 @@ mod tests {
         // The 1-thread point runs inline: perfectly utilized, no spawns.
         assert!((run.points[0].utilization - 1.0).abs() < 1e-9);
 
+        // The regress path runs on pinned speedups: a measured wall-clock
+        // ratio trips the absolute `*.speedup` floor whenever the 2-thread
+        // point happens to be slow. CI's `regress` step enforces that
+        // floor against the checked-in baseline.
+        let mut run = run;
+        for p in &mut run.points {
+            assert!(p.speedup > 0.0, "threads {}", p.threads);
+            p.speedup = 1.0;
+        }
         let json = scale_json(&run);
         let value = dpr_telemetry::json::parse(&json).expect("valid JSON");
         let cmp = dpr_obs::regress::compare(&value, &value, 0.15);
         assert!(!cmp.has_regressions());
         let keys: Vec<&str> = cmp.rows.iter().map(|r| r.metric.as_str()).collect();
         assert!(keys.contains(&"threads_1.evals_per_sec"));
+        assert!(keys.contains(&"threads_2.speedup"));
         assert!(keys.contains(&"threads_2.utilization"));
         assert!(keys.contains(&"threads_2.imbalance"));
         use dpr_obs::regress::{direction_for, Direction};

@@ -63,5 +63,5 @@ pub use associate::{match_series, match_series_two_pass, LabelSeries, MatchScore
 pub use dpr_capture::{CaptureReader, CaptureSession, CaptureWriter};
 pub use dpr_evidence::{EvidenceChain, EvidenceLedger};
 pub use evaluate::{canonicalize, evaluate, EsvVerdict, PrecisionReport};
-pub use pipeline::{Alignment, DpReverser, PipelineConfig};
+pub use pipeline::{Alignment, DpReverser, PipelineConfig, INFERENCE_LABEL};
 pub use result::{RecoveredEcr, RecoveredEsv, RecoveredKind, ReverseEngineeringResult};

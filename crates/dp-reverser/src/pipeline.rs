@@ -24,6 +24,10 @@ fn stage_done(stage: &str) {
     dpr_log::info("pipeline", "stage complete", &[("stage", stage.into())]);
 }
 
+/// The `dpr_prof` label of the inference stage's per-sensor fan-out, so
+/// the pool profile tells that job apart from GP scoring (`gp.score`).
+pub const INFERENCE_LABEL: &str = "inference";
+
 /// How the pipeline aligns camera time with bus time (paper §9.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Alignment {
@@ -249,22 +253,18 @@ impl DpReverser {
         });
         stage_done("ocr");
 
-        // Group Y series by (screen, label).
-        let mut labels: Vec<(String, String)> = readings
-            .iter()
-            .map(|r| (r.screen.clone(), r.label.clone()))
-            .collect();
-        labels.sort();
-        labels.dedup();
-        let y_series: Vec<LabelSeries> = labels
-            .into_iter()
-            .map(|key| {
-                let series: Vec<(Micros, f64)> = readings
+        // Group Y series by (screen, label): one stable sort keeps each
+        // label's readings in their original order, then split the runs.
+        let mut sorted: Vec<_> = readings.iter().collect();
+        sorted.sort_by(|a, b| (&a.screen, &a.label).cmp(&(&b.screen, &b.label)));
+        let y_series: Vec<LabelSeries> = sorted
+            .chunk_by(|a, b| a.screen == b.screen && a.label == b.label)
+            .map(|run| {
+                let series: Vec<(Micros, f64)> = run
                     .iter()
-                    .filter(|r| r.screen == key.0 && r.label == key.1)
                     .filter_map(|r| r.value.map(|v| (r.at, v)))
                     .collect();
-                (key, series)
+                ((run[0].screen.clone(), run[0].label.clone()), series)
             })
             .collect();
 
@@ -281,51 +281,44 @@ impl DpReverser {
         stage_done("association");
 
         // ——— response-message analysis: infer formulas ———
-        let mut esvs = tracer.stage("inference", || {
+        // One pool job per car: sensors are independent and each GP run is
+        // seeded by its key, so they fit in parallel. Each task holds back
+        // its evidence events and histogram observations, and they are
+        // replayed here in `matches` order, so the ledger and metrics read
+        // exactly as a sequential run wrote them.
+        let mut inferred = tracer.stage("inference", || {
             let _span = dpr_telemetry::Span::enter("inference");
-            let mut esvs = Vec::new();
-            for m in &matches {
-                if m.pairs.len() < self.config.min_pairs {
-                    crate::associate::record_candidate(
-                        &capture.extraction.series,
-                        &y_series,
-                        m.series_idx,
-                        m.label_idx,
-                        m.score,
-                        m.pairs.len(),
-                        dpr_evidence::CandidateDecision::TooFewPairs,
-                    );
-                    continue;
-                }
-                let series = &capture.extraction.series[m.series_idx];
-                let ((screen, label), _) = &y_series[m.label_idx];
-                if let Some(esv) = self.infer_one(series, screen, label, m) {
-                    esvs.push(esv);
+            let outcomes = dpr_prof::with_label(INFERENCE_LABEL, || {
+                dpr_par::Pool::from_env().par_map(&matches, |m| {
+                    dpr_telemetry::defer_observations(|| {
+                        dpr_evidence::capture(|| {
+                            self.infer_match(&capture.extraction.series, &y_series, m)
+                        })
+                    })
+                })
+            });
+            let mut inferred = Vec::new();
+            for (m, ((esv, events), observations)) in matches.iter().zip(outcomes) {
+                events.into_iter().for_each(dpr_evidence::record);
+                observations.replay();
+                if let Some(esv) = esv {
+                    inferred.push((esv, (m.series_idx as u32, m.label_idx as u32)));
                 }
             }
-            esvs
+            inferred
         });
         stage_done("inference");
-        esvs.sort_by_key(|e| e.key);
+        inferred.sort_by_key(|(e, _)| e.key);
 
         // ——— ECR recovery ———
         let ecrs = tracer.stage("ecr", || recover_ecrs(&capture.extraction, execution));
 
         // Join keys for evidence assembly: which association indices fed
         // each recovered sensor.
-        let descs: Vec<dpr_evidence::SensorDesc> = esvs
-            .iter()
-            .map(|e| {
-                let indices = matches
-                    .iter()
-                    .find(|m| {
-                        capture.extraction.series[m.series_idx].key == e.key
-                            && y_series[m.label_idx].0 .0 == e.screen
-                            && y_series[m.label_idx].0 .1 == e.label
-                    })
-                    .map(|m| (m.series_idx as u32, m.label_idx as u32));
-                let (series_idx, label_idx) = indices.unwrap_or((u32::MAX, u32::MAX));
-                dpr_evidence::SensorDesc {
+        let (esvs, descs): (Vec<RecoveredEsv>, Vec<dpr_evidence::SensorDesc>) = inferred
+            .into_iter()
+            .map(|(e, (series_idx, label_idx))| {
+                let desc = dpr_evidence::SensorDesc {
                     key: e.key.to_string(),
                     screen: e.screen.clone(),
                     label: e.label.clone(),
@@ -335,9 +328,10 @@ impl DpReverser {
                     label_idx,
                     score: dpr_evidence::finite(e.match_score),
                     pairs: e.pairs as u32,
-                }
+                };
+                (e, desc)
             })
-            .collect();
+            .unzip();
 
         let result = ReverseEngineeringResult {
             esvs,
@@ -349,6 +343,30 @@ impl DpReverser {
             evidence: dpr_evidence::EvidenceLedger::default(),
         };
         (result, descs)
+    }
+
+    /// One inference task: a match with too few pairs is recorded as
+    /// such, any other is handed to [`Self::infer_one`].
+    fn infer_match(
+        &self,
+        series: &[dpr_frames::EsvSeries],
+        y_series: &[LabelSeries],
+        m: &MatchScore,
+    ) -> Option<RecoveredEsv> {
+        if m.pairs.len() < self.config.min_pairs {
+            crate::associate::record_candidate(
+                series,
+                y_series,
+                m.series_idx,
+                m.label_idx,
+                m.score,
+                m.pairs.len(),
+                dpr_evidence::CandidateDecision::TooFewPairs,
+            );
+            return None;
+        }
+        let ((screen, label), _) = &y_series[m.label_idx];
+        self.infer_one(&series[m.series_idx], screen, label, m)
     }
 
     /// Infers the decoding rule for one matched (identifier, label) pair.

@@ -906,6 +906,87 @@ mod tests {
         assert!(!CandidateDecision::BelowThreshold.accepted());
     }
 
+    /// One fan-out task's events. Both tasks decide on the same
+    /// candidate, so the ledger depends on the order they are replayed in.
+    fn run_task(task: usize) {
+        let decision = [CandidateDecision::AcceptedStrict, CandidateDecision::TooFewPairs][task];
+        record(Event::Candidate(Candidate {
+            series_idx: 0,
+            label_idx: 0,
+            key: "DID 0xF40D".to_string(),
+            screen: "Live Data".to_string(),
+            label: "Speed".to_string(),
+            score: Some(0.7),
+            pairs: 9,
+            decision,
+        }));
+        if task == 0 {
+            with_subject("DID 0xF40D", || {
+                record(sample_events().pop().expect("a lineage event"));
+            });
+        }
+    }
+
+    #[test]
+    fn events_captured_on_other_threads_replay_to_the_sequential_ledger() {
+        let stages = &sample_events()[..6];
+        let ((), sequential) = capture(|| {
+            stages.iter().cloned().for_each(record);
+            (0..2).for_each(run_task);
+        });
+        let (per_task, replayed) = capture(|| {
+            stages.iter().cloned().for_each(record);
+            let per_task: Vec<Vec<Event>> = std::thread::scope(|scope| {
+                let tasks: Vec<_> = (0..2)
+                    .map(|task| scope.spawn(move || capture(|| run_task(task)).1))
+                    .collect();
+                tasks.into_iter().map(|t| t.join().expect("task")).collect()
+            });
+            per_task.iter().flatten().cloned().for_each(record);
+            per_task
+        });
+        assert_eq!(replayed, sequential);
+        let descs = [sample_desc()];
+        let ledger = assemble(&replayed, &descs);
+        assert_eq!(ledger, assemble(&sequential, &descs));
+        assert_eq!(ledger.chains[0].candidates[0].decision, CandidateDecision::TooFewPairs);
+        // Replaying in any other order gives a different ledger.
+        let mut reversed = stages.to_vec();
+        reversed.extend(per_task.into_iter().rev().flatten());
+        assert_ne!(assemble(&reversed, &descs), ledger);
+    }
+
+    #[test]
+    fn a_panicking_task_leaves_no_capture_behind() {
+        let verdict = |sample_id| {
+            Event::OcrVerdict(OcrVerdict {
+                sample_id,
+                verdict: "kept".to_string(),
+            })
+        };
+        let ((), outer) = capture(|| {
+            std::thread::scope(|scope| {
+                let task = scope.spawn(|| {
+                    let result = std::panic::catch_unwind(|| capture(|| panic!("task failed")));
+                    assert!(result.is_err());
+                    active()
+                });
+                assert!(!task.join().expect("task thread"), "task thread kept a capture");
+            });
+            let result = std::panic::catch_unwind(|| {
+                capture(|| {
+                    record(verdict(1));
+                    panic!("task failed");
+                })
+            });
+            assert!(result.is_err());
+            // The calling thread is back in its own capture.
+            record(verdict(2));
+        });
+        assert_eq!(outer, vec![verdict(2)]);
+        assert!(!active());
+    }
+
     #[test]
     fn ledger_round_trips_through_json() {
         let ledger = assemble(&sample_events(), &[sample_desc()]);

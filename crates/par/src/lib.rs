@@ -223,13 +223,17 @@ impl Pool {
     /// caller computed — so results stay bit-identical whichever side is
     /// taken; only the `par.batch_*` telemetry (which the determinism
     /// suite strips along with the rest of `par.*`) records the choice.
+    /// A call from inside a pool task cannot reach the pool, so it always
+    /// counts as an inline drain and leaves the threshold gauge alone.
     pub fn par_map_batched<T, R, F>(&self, items: &[T], min_items: usize, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        if self.threads > 1 {
+        if self.threads > 1 && pool::in_worker() {
+            dpr_telemetry::counter("par.batch_inline_drains").inc(1);
+        } else if self.threads > 1 {
             // `usize::MAX` is the "never flush" sentinel (hosts with no
             // second core); saturate rather than wrap the gauge.
             dpr_telemetry::gauge("par.batch_threshold").set(min_items.min(i64::MAX as usize) as i64);
@@ -532,6 +536,27 @@ mod tests {
             .iter()
             .zip(&reference[..4])
             .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    #[test]
+    fn batched_calls_nested_in_a_pool_task_count_as_inline_drains() {
+        let reg = std::sync::Arc::new(dpr_telemetry::Registry::new());
+        let outer: Vec<u64> = (0..8).collect();
+        let inner: Vec<u64> = (0..64).collect();
+        let out = dpr_telemetry::scoped(std::sync::Arc::clone(&reg), || {
+            Pool::new(2).par_map(&outer, |x| {
+                // `0` would always flush from the top level.
+                Pool::new(2).par_map_batched(&inner, 0, |y| x + y).iter().sum::<u64>()
+            })
+        });
+        let expect: Vec<u64> = outer.iter().map(|x| inner.iter().map(|y| x + y).sum()).collect();
+        assert_eq!(out, expect);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters.get("par.batch_inline_drains"), Some(&8));
+        assert_eq!(snap.counters.get("par.batch_flushes"), None);
+        assert!(!snap.gauges.contains_key("par.batch_threshold"));
+        // Only the outer call reached the pool.
+        assert_eq!(snap.counters.get("par.calls"), Some(&1));
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub mod summary;
 pub mod trace;
 
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
+    defer_observations, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
+    Observations, Registry,
 };
 pub use sink::{Collector, JsonLines, Sink, SpanLine, SpanRecord};
 pub use span::{thread_id, Span};

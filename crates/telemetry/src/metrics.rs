@@ -140,24 +140,19 @@ impl Histogram {
         }
     }
 
-    /// Records one observation.
+    /// Records one observation (or holds it back inside
+    /// [`defer_observations`]).
     pub fn record(&self, v: f64) {
         let Some(core) = &self.core else { return };
-        let idx = core.bounds.partition_point(|&b| b < v);
-        core.counts[idx].fetch_add(1, Ordering::Relaxed);
-        core.count.fetch_add(1, Ordering::Relaxed);
-        let mut current = core.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + v).to_bits();
-            match core.sum_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => current = actual,
+        let deferred = DEFERRED.with(|stack| match stack.borrow_mut().last_mut() {
+            Some(buffer) => {
+                buffer.0.push((Arc::clone(core), v));
+                true
             }
+            None => false,
+        });
+        if !deferred {
+            core.observe(v);
         }
     }
 
@@ -182,6 +177,69 @@ impl Histogram {
             },
         }
     }
+}
+
+impl HistogramCore {
+    fn observe(&self, v: f64) {
+        let idx = self.bounds.partition_point(|&b| b < v);
+        self.counts[idx].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        let mut current = self.sum_bits.load(Ordering::Relaxed);
+        loop {
+            let next = (f64::from_bits(current) + v).to_bits();
+            match self.sum_bits.compare_exchange_weak(
+                current,
+                next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(actual) => current = actual,
+            }
+        }
+    }
+}
+
+thread_local! {
+    static DEFERRED: std::cell::RefCell<Vec<Observations>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Histogram observations held back by [`defer_observations`].
+#[derive(Default)]
+pub struct Observations(Vec<(Arc<HistogramCore>, f64)>);
+
+impl Observations {
+    /// Records every held-back observation, in the order it was made.
+    pub fn replay(self) {
+        for (core, v) in self.0 {
+            core.observe(v);
+        }
+    }
+}
+
+/// Runs `f` with this thread's histogram observations held back, and
+/// returns them for [`Observations::replay`]. A histogram's sum is a
+/// float, so its bits depend on the order observations arrive in: tasks
+/// that run in parallel defer theirs, and the caller replays them in
+/// task order to keep the sum identical at any thread count. Counters
+/// and gauges are not deferred. Nestable; the innermost call receives
+/// the observations, and the buffer is popped even if `f` unwinds.
+pub fn defer_observations<R>(f: impl FnOnce() -> R) -> (R, Observations) {
+    struct PopGuard;
+    impl Drop for PopGuard {
+        fn drop(&mut self) {
+            DEFERRED.with(|stack| stack.borrow_mut().pop());
+        }
+    }
+    DEFERRED.with(|stack| stack.borrow_mut().push(Observations::default()));
+    let guard = PopGuard;
+    let result = f();
+    let held = DEFERRED
+        .with(|stack| stack.borrow_mut().pop())
+        .unwrap_or_default();
+    std::mem::forget(guard);
+    (result, held)
 }
 
 impl std::fmt::Debug for Histogram {
@@ -535,5 +593,50 @@ mod tests {
         assert_eq!(deltas.get("a"), Some(&4));
         assert_eq!(deltas.get("c"), Some(&2));
         assert!(!deltas.contains_key("b"));
+    }
+
+    #[test]
+    fn deferred_observations_replay_in_task_order_from_any_thread() {
+        // Magnitudes far apart make the float sum order-dependent.
+        let tasks: [&[f64]; 3] = [&[1e16, 1.0], &[-1e16], &[1.0, 3.5]];
+        let sequential = Histogram::with_bounds(vec![1.0]);
+        for v in tasks.iter().flat_map(|t| t.iter()) {
+            sequential.record(*v);
+        }
+        let replayed = Histogram::with_bounds(vec![1.0]);
+        let held: Vec<Observations> = std::thread::scope(|scope| {
+            let handles: Vec<_> = tasks
+                .iter()
+                .rev()
+                .map(|task| {
+                    let h = replayed.clone();
+                    scope.spawn(move || {
+                        let ((), held) =
+                            defer_observations(|| task.iter().for_each(|v| h.record(*v)));
+                        assert_eq!(h.snapshot().count, 0, "recorded while deferred");
+                        held
+                    })
+                })
+                .collect();
+            handles.into_iter().rev().map(|h| h.join().expect("task")).collect()
+        });
+        held.into_iter().for_each(Observations::replay);
+        let (want, got) = (sequential.snapshot(), replayed.snapshot());
+        assert_eq!(got.counts, want.counts);
+        assert_eq!(got.sum.to_bits(), want.sum.to_bits());
+    }
+
+    #[test]
+    fn deferral_pops_even_when_the_body_panics() {
+        let h = Histogram::with_bounds(vec![1.0]);
+        let result = std::panic::catch_unwind(|| {
+            defer_observations(|| {
+                h.record(1.0);
+                panic!("task failed");
+            })
+        });
+        assert!(result.is_err());
+        h.record(2.0);
+        assert_eq!(h.snapshot().count, 1);
     }
 }

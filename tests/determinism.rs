@@ -8,6 +8,11 @@
 //! dedup, `DPR_GP_BATCH` dispatch policy) must also leave the result
 //! untouched at any thread count.
 //!
+//! Inference fits every matched sensor as one `dpr-par` job per car, so
+//! at `DPR_THREADS` ≥ 2 the test also reads the run's pool accounting
+//! before stripping it and checks that the fan-out really ran on the
+//! pool — otherwise the comparison would pit inline against inline.
+//!
 //! Single `#[test]` function on purpose: the test mutates the
 //! `DPR_THREADS` / `DPR_GP_DEDUP` / `DPR_GP_BATCH` process
 //! environment, and sibling tests in this binary would race on it.
@@ -70,6 +75,13 @@ fn deterministic_view(snapshot: &MetricsSnapshot, same_dedup_config: bool) -> Me
     view
 }
 
+/// Calls of the inference fan-out that ran on the pool rather than
+/// inline, so far in this process (the profile store is process-wide).
+fn pooled_fanouts() -> u64 {
+    dpr_prof::label_summary(dp_reverser::INFERENCE_LABEL)
+        .map_or(0, |label| label.calls - label.inline_calls)
+}
+
 /// One test fn on purpose — see module docs.
 #[test]
 fn analyze_is_bit_identical_across_thread_counts() {
@@ -96,7 +108,18 @@ fn analyze_is_bit_identical_across_thread_counts() {
         std::env::set_var("DPR_THREADS", "1");
         let (seq_result, seq_metrics) = analyze_scoped(seed, &report);
         std::env::set_var("DPR_THREADS", &parallel);
+        let fanouts_before = pooled_fanouts();
         let (par_result, par_metrics) = analyze_scoped(seed, &report);
+        if parallel.trim().parse::<usize>().is_ok_and(|n| n >= 2) {
+            // One pool job per car: the fan-out ran on the pool, it was
+            // the run's only pooled call, and every GP scoring batch
+            // nested under it drained inline.
+            assert_eq!(pooled_fanouts() - fanouts_before, 1, "{id:?}: fan-out ran inline");
+            let counter = |name: &str| par_metrics.counters.get(name).copied().unwrap_or(0);
+            assert_eq!(counter("par.calls"), 1, "{id:?}: pooled calls besides the fan-out");
+            assert!(counter("par.batch_inline_drains") > 0, "{id:?}: no nested GP scoring");
+            assert_eq!(counter("par.batch_flushes"), 0, "{id:?}: a nested batch flushed");
+        }
 
         assert_eq!(
             seq_result, par_result,
