@@ -18,8 +18,8 @@
 //! inferno-compatible folded stack lines. `regress` compares two
 //! `BENCH_*.json` snapshots and exits non-zero when a gated metric
 //! regressed beyond the tolerance. `fleet` collects and analyzes
-//! several cars under one registry. `scale` sweeps GP scoring across
-//! pool sizes and writes `BENCH_scale.json`. All honor
+//! several cars under one registry. `scale` sweeps a fan-out of whole
+//! GP fits across pool sizes and writes `BENCH_scale.json`. All honor
 //! `DPR_TRACE_EVENTS=<path.json>` (Chrome trace-event export) and the
 //! run subcommands honor `DPR_METRICS_ADDR=<addr>` (live Prometheus
 //! scrape endpoint).
@@ -290,7 +290,7 @@ fn load_json(path: &str) -> Option<dpr_telemetry::json::Value> {
 
 // ———————————————————————————— scale ————————————————————————————
 
-/// Sweeps GP generation scoring across pool sizes, prints the scaling
+/// Sweeps a fan-out of whole GP fits across pool sizes, prints the scaling
 /// table plus the largest pool's report, and writes `BENCH_scale.json`
 /// for `dpr-bench regress` to gate.
 fn scale(args: &[String]) -> ExitCode {
@@ -319,7 +319,7 @@ fn scale(args: &[String]) -> ExitCode {
     std::env::set_var(dpr_prof::PROF_ENV, "1");
 
     println!(
-        "gp scoring scaling sweep at {threads:?} thread(s), seed {EXPERIMENT_SEED}, quick {}…",
+        "gp fit fan-out scaling sweep at {threads:?} thread(s), seed {EXPERIMENT_SEED}, quick {}…",
         quick()
     );
     let run = dpr_bench::scale::run_scale(&threads, quick());

@@ -1,47 +1,44 @@
-//! `dpr-bench scale`: the GP-scoring thread-scaling harness behind
+//! `dpr-bench scale`: the thread-scaling harness behind
 //! `BENCH_scale.json`.
 //!
-//! The paper's cost driver is generation scoring (compile a population
-//! of GP trees, batch-evaluate each against the dataset), so that is
-//! the workload measured here: one sweep runs the identical scoring
-//! pass at several [`dpr_par::Pool`] sizes, resetting the [`dpr_prof`]
-//! store between points so each point's scheduling profile (utilization,
-//! imbalance, idle/wait/spin-up shares, thread spawns) is attributable
-//! to exactly that pool size.
+//! The pipeline parallelizes GP inference one level up from scoring: the
+//! inference stage maps every matched sensor's whole fit through one
+//! [`dpr_par`] call, and the scoring calls inside each fit are nested and
+//! drain inline. That is the workload measured here: one pass is one
+//! `par_map` over K independent [`SymbolicRegressor::fit`]s
+//! ([`GpConfig::fast`]) on synthetic sensor datasets, and the
+//! sweep runs the identical pass with `DPR_THREADS` set to each pool
+//! size, resetting the [`dpr_prof`] store between points so each point's
+//! scheduling profile (utilization, imbalance, idle/wait/spin-up shares,
+//! thread spawns, pooled calls) is attributable to exactly that size.
 //!
-//! Each point scores through the *production* dispatch policy — adaptive
-//! batched dispatch sized by [`dpr_prof::break_even_items`] from the
-//! point's own measured profile — so the curve reports what the engine
-//! actually ships: on hosts where waking the pool loses to inline
-//! draining (few cores, high wake latency) the dispatcher keeps scoring
-//! inline and the curve holds at parity instead of going negative.
+//! Every point records `pooled_calls`, the passes that actually ran on
+//! the pool, so an N-thread point that drained inline can never pass as
+//! a parallel speedup.
 //!
 //! [`scale_json`] renders the sweep as one JSON document whose nested
 //! `threads_N` blocks flatten (in `dpr-bench regress`) to keys like
 //! `threads_2.evals_per_sec` and `threads_2.utilization` — names chosen
 //! so the regression gate infers the right direction: throughput,
 //! speedup, and utilization gate on drops, imbalance gates on rises,
-//! and the share/spawn diagnostics stay informational.
+//! and the share/spawn/call counts stay informational.
 
-use dpr_gp::expr::{BinaryOp, Expr, UnaryOp};
-use dpr_gp::{Columns, CompiledExpr, Dataset, Metric};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dpr_gp::{Dataset, GpConfig, SymbolicRegressor};
 use std::time::{Duration, Instant};
 
-/// The [`dpr_prof`] label every scale-harness scoring call runs under,
+/// The [`dpr_prof`] label every scale-harness fan-out call runs under,
 /// isolating the sweep's profile from anything else in the process.
 pub const SCALE_LABEL: &str = "bench.scale";
 
 /// One thread-count measurement of the sweep.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
-    /// Pool size measured.
+    /// Pool size measured (`DPR_THREADS` during the point).
     pub threads: usize,
-    /// Scoring passes completed across the point's timed windows.
+    /// Passes (one fan-out over every fit each) across the timed windows.
     pub passes: u32,
-    /// Expression evaluations per second — the best of the point's three
-    /// timed windows (population × rows × passes / window wall).
+    /// Logical GP evaluations per second — the best of the point's three
+    /// timed windows (the fits' summed `evaluations` × passes / wall).
     pub evals_per_sec: f64,
     /// Throughput relative to the sweep's 1-thread point.
     pub speedup: f64,
@@ -59,7 +56,10 @@ pub struct ScalePoint {
     pub spinup_share: f64,
     /// OS threads spawned during this point (0 once the pool is warm).
     pub pool_spawns: u64,
-    /// Worker-attributed heap allocations per scoring pass (0 unless the
+    /// Fan-out calls of this point that ran on the pool rather than
+    /// inline (0 at 1 thread; every pass at N threads).
+    pub pooled_calls: u64,
+    /// Worker-attributed heap allocations per pass (0 unless the
     /// counting allocator is installed and `DPR_PROF=1`).
     pub allocs_per_pass: f64,
     /// The point's rendered pool report (table + diagnosis).
@@ -72,9 +72,13 @@ pub struct ScalePoint {
 pub struct ScaleRun {
     /// Whether the sweep ran with the reduced quick-mode workload.
     pub quick: bool,
-    /// GP population size scored per pass.
+    /// The host's available parallelism when the sweep ran.
+    pub host_cores: usize,
+    /// Independent GP fits mapped per pass.
+    pub fits: usize,
+    /// GP population size of each fit.
     pub population: usize,
-    /// Dataset rows each expression is evaluated against.
+    /// Rows in each fit's dataset.
     pub rows: usize,
     /// Per-thread-count measurements.
     pub points: Vec<ScalePoint>,
@@ -90,93 +94,100 @@ pub fn default_threads(quick: bool) -> Vec<usize> {
     }
 }
 
-/// The same synthetic sensor dataset the micro-benchmarks score against.
-fn scale_dataset() -> Dataset {
-    Dataset::from_triples((0..100).map(|i| {
-        let x0 = f64::from(100 + (i * 37) % 150);
-        let x1 = f64::from(8 + (i * 23) % 24);
-        ((x0, x1), x0 * x1 / 5.0)
+/// The size of one sweep: how many fits a pass maps, their GP budget,
+/// the untimed warm-up, and the minimum length of each timed window.
+struct Workload {
+    fits: usize,
+    config: fn(u64) -> GpConfig,
+    warm_up: Duration,
+    window: Duration,
+}
+
+impl Workload {
+    /// The pipeline's reduced-budget fit ([`GpConfig::fast`]), several
+    /// sensors per car.
+    fn for_mode(quick: bool) -> Workload {
+        Workload {
+            fits: if quick { 8 } else { 16 },
+            config: GpConfig::fast,
+            warm_up: Duration::from_millis(1500),
+            window: if quick {
+                Duration::from_millis(200)
+            } else {
+                Duration::from_secs(1)
+            },
+        }
+    }
+}
+
+/// The `i`-th synthetic sensor: 100 readings of two raw bytes against a
+/// displayed value, one of a few formula shapes seen on real cars
+/// (affine, two-byte word, product), with per-sensor constants.
+fn sensor_dataset(i: usize) -> Dataset {
+    let a = 0.25 + (i % 5) as f64 * 0.5;
+    let b = (i % 3) as f64 * 20.0 - 40.0;
+    Dataset::from_triples((0..100).map(|r| {
+        let x0 = f64::from(((r * 37 + i * 11) % 200) as u32 + 20);
+        let x1 = f64::from(((r * 23 + i * 7) % 24) as u32 + 8);
+        let y = match i % 3 {
+            0 => a * x0 + b,
+            1 => (256.0 * x1 + x0) * a / 4.0,
+            _ => x0 * x1 * a / 5.0,
+        };
+        ((x0, x1), y)
     }))
     .expect("well-formed")
 }
 
-/// A GP-typical population: random grow trees over the full function
-/// set, the shapes the engine scores every generation.
-fn scale_population(n: usize, depth: usize) -> Vec<Expr> {
-    let mut rng = StdRng::seed_from_u64(crate::EXPERIMENT_SEED);
-    (0..n)
-        .map(|_| {
-            Expr::random_grow(
-                &mut rng,
-                depth,
-                2,
-                &UnaryOp::ALL,
-                &BinaryOp::ALL,
-                (-10.0, 10.0),
-            )
-        })
-        .collect()
-}
-
-/// Runs the sweep at the given pool sizes. `quick` shrinks the
-/// population and the per-point timing window (pass [`crate::quick`]).
+/// Runs the sweep at the given pool sizes. `quick` shrinks the fit count
+/// and the per-point timing window (pass [`crate::quick`]).
 ///
-/// The profile store is [`dpr_prof::reset`] before each point, so the
+/// Each point sets `DPR_THREADS` to its pool size for its duration (the
+/// previous value is restored afterwards), so the fan-out and every fit's
+/// scoring calls resolve their pool exactly as the pipeline's do. The
+/// profile store is [`dpr_prof::reset`] before each point, so the
 /// returned scheduling ratios cover exactly that point's calls — note
 /// this clears the store for the whole process.
 pub fn run_scale(threads: &[usize], quick: bool) -> ScaleRun {
-    let min = if quick {
-        Duration::from_millis(60)
-    } else {
-        Duration::from_millis(400)
-    };
-    let data = scale_dataset();
-    let cols = Columns::from_dataset(&data);
-    let pop = scale_population(if quick { 32 } else { 128 }, 6);
-    let metric = Metric::MeanAbsoluteError;
-    let evals_per_pass = (pop.len() * data.len()) as f64;
+    sweep(threads, quick, &Workload::for_mode(quick))
+}
 
-    // One scoring pass through the *production* dispatch path: adaptive
-    // batched dispatch (`par_map_batched` with the break-even threshold
-    // learned from this label's own profile), per-worker thread-local
-    // scratch exactly like the engine — a persistent pool thread pays
-    // for its `BatchScratch` buffers once across all passes, so
-    // allocs_per_pass stays flat as threads grow instead of scaling
-    // with calls × workers.
-    let score = |pool: &dpr_par::Pool| {
-        let min_items = dpr_prof::break_even_items(SCALE_LABEL, pool.threads());
-        dpr_prof::with_label(SCALE_LABEL, || {
-            pool.par_map_batched(&pop, min_items, |e| {
-                dpr_gp::compile::with_thread_scratch(|scratch| {
-                    CompiledExpr::compile(e).error_on(&cols, metric, scratch)
-                })
+fn sweep(threads: &[usize], quick: bool, workload: &Workload) -> ScaleRun {
+    let jobs: Vec<(Dataset, u64)> = (0..workload.fits)
+        .map(|i| (sensor_dataset(i), crate::EXPERIMENT_SEED ^ (i as u64 + 1)))
+        .collect();
+
+    // One pass: the pipeline's inference shape — one fan-out over whole
+    // fits — returning the logical evaluations it performed.
+    let pass = || -> u64 {
+        let models = dpr_prof::with_label(SCALE_LABEL, || {
+            dpr_par::Pool::from_env().par_map(&jobs, |(data, seed)| {
+                SymbolicRegressor::new((workload.config)(*seed)).fit(data)
             })
-        })
+        });
+        models.iter().map(|m| m.evaluations).sum()
     };
 
-    // Untimed whole-sweep warm-up on the inline path: first-touch page
-    // faults, the CPU's frequency ramp, and branch-predictor training
-    // all land here instead of inside the first point's windows — the
-    // first point otherwise measures ~10% slow, which would inflate
-    // every later point's speedup (or deflate it, when the ladder
-    // starts above 1 thread).
-    let warm = Instant::now();
-    while warm.elapsed() < min {
-        score(&dpr_par::Pool::new(1));
+    let saved = std::env::var(dpr_par::THREADS_ENV).ok();
+    // Untimed warm-up at the ladder's largest pool: a core that sat idle
+    // before the sweep runs slow for a while after waking, which would
+    // otherwise land in the first multi-threaded point and read as
+    // negative scaling.
+    if let Some(&most) = threads.iter().max() {
+        std::env::set_var(dpr_par::THREADS_ENV, most.to_string());
+        let warm = Instant::now();
+        while warm.elapsed() < workload.warm_up {
+            pass();
+        }
     }
-
     let mut points: Vec<ScalePoint> = Vec::with_capacity(threads.len());
     for &t in threads {
-        let pool = dpr_par::Pool::new(t);
+        std::env::set_var(dpr_par::THREADS_ENV, t.to_string());
         // Resetting here scopes the store to exactly this point's calls.
         dpr_prof::reset();
-        // One untimed calibration pass. It is the pass that spawns the
-        // point's workers and seeds the label's spin-up/item-cost
-        // aggregate, so the adaptive threshold reflects *this machine*
-        // before timing starts — its profile stays in the store, which
-        // is why the point's spinup_share and pool_spawns still show
-        // the true wake-up cost the dispatcher is dodging.
-        score(&pool);
+        // One untimed pass settles the point's pool. The fits are seeded,
+        // so its evaluation count is every pass's.
+        let evals_per_pass = pass() as f64;
         // Best of three timed windows: the max filters scheduler
         // interruptions and frequency ramps, which would otherwise
         // dominate the point-to-point ratio on a busy host.
@@ -186,10 +197,10 @@ pub fn run_scale(threads: &[usize], quick: bool) -> ScaleRun {
             let mut window_passes = 0u32;
             let start = Instant::now();
             let elapsed = loop {
-                score(&pool);
+                pass();
                 window_passes += 1;
                 let elapsed = start.elapsed();
-                if elapsed >= min {
+                if elapsed >= workload.window {
                     break elapsed;
                 }
             };
@@ -219,9 +230,14 @@ pub fn run_scale(threads: &[usize], quick: bool) -> ScaleRun {
             wait_share: sum.wait_us as f64 / capacity,
             spinup_share: sum.spinup_us as f64 / sum.wall_us.max(1) as f64,
             pool_spawns: sum.spawned_threads,
-            allocs_per_pass: sum.allocs as f64 / f64::from(passes.max(1)),
+            pooled_calls: sum.calls - sum.inline_calls,
+            allocs_per_pass: sum.allocs as f64 / f64::from(passes + 1),
             report,
         });
+    }
+    match saved {
+        Some(v) => std::env::set_var(dpr_par::THREADS_ENV, v),
+        None => std::env::remove_var(dpr_par::THREADS_ENV),
     }
 
     // Speedups are relative to the 1-thread point (or the first point,
@@ -242,8 +258,10 @@ pub fn run_scale(threads: &[usize], quick: bool) -> ScaleRun {
 
     ScaleRun {
         quick,
-        population: pop.len(),
-        rows: data.len(),
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        fits: workload.fits,
+        population: (workload.config)(0).population_size,
+        rows: jobs.first().map_or(0, |(data, _)| data.len()),
         points,
     }
 }
@@ -253,16 +271,26 @@ pub fn run_scale(threads: &[usize], quick: bool) -> ScaleRun {
 pub fn render_scale(run: &ScaleRun) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "== gp scoring thread scaling ({} exprs × {} rows, quick {}) ==\n",
-        run.population, run.rows, run.quick
+        "== gp fit fan-out thread scaling ({} fits × {} exprs × {} rows, host_cores {}, quick {}) ==\n",
+        run.fits, run.population, run.rows, run.host_cores, run.quick
     ));
     out.push_str(&format!(
-        "{:>7} {:>7} {:>12} {:>8} {:>6} {:>6} {:>6} {:>6} {:>7} {:>7}\n",
-        "threads", "passes", "evals/sec", "speedup", "util", "imbal", "idle", "wait", "spinup", "spawns"
+        "{:>7} {:>7} {:>12} {:>8} {:>6} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7}\n",
+        "threads",
+        "passes",
+        "evals/sec",
+        "speedup",
+        "util",
+        "imbal",
+        "idle",
+        "wait",
+        "spinup",
+        "spawns",
+        "pooled"
     ));
     for p in &run.points {
         out.push_str(&format!(
-            "{:>7} {:>7} {:>12.0} {:>7.2}x {:>5.0}% {:>6.2} {:>5.0}% {:>5.0}% {:>6.1}% {:>7}\n",
+            "{:>7} {:>7} {:>12.0} {:>7.2}x {:>5.0}% {:>6.2} {:>5.0}% {:>5.0}% {:>6.1}% {:>7} {:>7}\n",
             p.threads,
             p.passes,
             p.evals_per_sec,
@@ -273,6 +301,7 @@ pub fn render_scale(run: &ScaleRun) -> String {
             p.wait_share * 100.0,
             p.spinup_share * 100.0,
             p.pool_spawns,
+            p.pooled_calls,
         ));
     }
     out
@@ -284,8 +313,11 @@ pub fn scale_json(run: &ScaleRun) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
-        "  \"bench\": \"gp_scale\",\n  \"quick\": {},\n  \"population\": {},\n  \"rows\": {},\n",
-        run.quick, run.population, run.rows
+        concat!(
+            "  \"bench\": \"gp_scale\",\n  \"quick\": {},\n  \"host_cores\": {},\n",
+            "  \"fits\": {},\n  \"population\": {},\n  \"rows\": {},\n"
+        ),
+        run.quick, run.host_cores, run.fits, run.population, run.rows
     ));
     for (i, p) in run.points.iter().enumerate() {
         let comma = if i + 1 == run.points.len() { "" } else { "," };
@@ -301,6 +333,7 @@ pub fn scale_json(run: &ScaleRun) -> String {
                 "    \"wait_share\": {wait:.3},\n",
                 "    \"spinup_share\": {spin:.4},\n",
                 "    \"pool_spawns\": {spawns},\n",
+                "    \"pooled_calls\": {pooled},\n",
                 "    \"allocs_per_pass\": {apc:.0}\n",
                 "  }}{comma}\n"
             ),
@@ -314,6 +347,7 @@ pub fn scale_json(run: &ScaleRun) -> String {
             wait = p.wait_share,
             spin = p.spinup_share,
             spawns = p.pool_spawns,
+            pooled = p.pooled_calls,
             apc = p.allocs_per_pass,
             comma = comma,
         ));
@@ -328,10 +362,24 @@ mod tests {
 
     #[test]
     fn sweep_measures_every_point_and_emits_gateable_json() {
-        let run = run_scale(&[1, 2], true);
+        // A tiny budget keeps the test fast; the pass shape is the real one.
+        let tiny = Workload {
+            fits: 4,
+            config: |seed| GpConfig {
+                population_size: 24,
+                max_generations: 2,
+                polish_iters: 10,
+                ..GpConfig::fast(seed)
+            },
+            warm_up: Duration::ZERO,
+            window: Duration::ZERO,
+        };
+        let run = sweep(&[1, 2], true, &tiny);
         assert_eq!(run.points.len(), 2);
         assert_eq!(run.points[0].threads, 1);
         assert_eq!(run.points[1].threads, 2);
+        assert_eq!((run.fits, run.population, run.rows), (4, 24, 100));
+        assert!(run.host_cores >= 1);
         assert!((run.points[0].speedup - 1.0).abs() < 1e-9);
         for p in &run.points {
             assert!(p.evals_per_sec > 0.0, "threads {}", p.threads);
@@ -340,8 +388,15 @@ mod tests {
             assert!((0.0..=1.0).contains(&p.idle_share));
             assert!(!p.report.text.is_empty());
         }
-        // The 1-thread point runs inline: perfectly utilized, no spawns.
+        // The 1-thread point runs inline: perfectly utilized, no spawns,
+        // nothing pooled. The 2-thread point pooled every pass (the
+        // calibration pass and three timed windows).
         assert!((run.points[0].utilization - 1.0).abs() < 1e-9);
+        assert_eq!(run.points[0].pooled_calls, 0);
+        assert_eq!(
+            run.points[1].pooled_calls,
+            u64::from(run.points[1].passes) + 1
+        );
 
         // The regress path runs on pinned speedups: a measured wall-clock
         // ratio trips the absolute `*.speedup` floor whenever the 2-thread
@@ -361,6 +416,8 @@ mod tests {
         assert!(keys.contains(&"threads_2.speedup"));
         assert!(keys.contains(&"threads_2.utilization"));
         assert!(keys.contains(&"threads_2.imbalance"));
+        assert!(keys.contains(&"threads_2.pooled_calls"));
+        assert!(keys.contains(&"host_cores"));
         use dpr_obs::regress::{direction_for, Direction};
         assert_eq!(
             direction_for("threads_2.speedup"),
@@ -376,12 +433,15 @@ mod tests {
     fn scale_table_lists_each_thread_count() {
         let run = ScaleRun {
             quick: true,
-            population: 32,
+            host_cores: 2,
+            fits: 8,
+            population: 256,
             rows: 100,
             points: Vec::new(),
         };
         let text = render_scale(&run);
-        assert!(text.contains("gp scoring thread scaling"));
+        assert!(text.contains("gp fit fan-out thread scaling"));
         assert!(text.contains("speedup"));
+        assert!(text.contains("pooled"));
     }
 }

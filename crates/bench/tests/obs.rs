@@ -1,7 +1,8 @@
 //! End-to-end observability check: a fleet run with `DPR_TRACE_EVENTS`
 //! set produces a Chrome Trace Event JSON whose complete events include
 //! a `pipeline`-rooted span and, under `DPR_THREADS=2`, at least two
-//! distinct thread ids (the `dpr-par` workers record as their own rows).
+//! distinct thread ids, one of them a `gp-worker-*` pool row (the
+//! inference fan-out runs part of the car's sensors there).
 //!
 //! One test function on purpose: it mutates process environment
 //! variables, which must not race a sibling test.
@@ -24,16 +25,11 @@ fn fleet_trace_export_has_pipeline_events_across_threads() {
     let out = std::env::temp_dir().join(format!("dpr-obs-fleet-{}.json", std::process::id()));
     std::env::set_var("DPR_QUICK", "1");
     std::env::set_var("DPR_THREADS", "2");
-    // Force pool dispatch: the adaptive batch policy (correctly) drains
-    // quick-mode populations inline — especially on 1-core CI hosts —
-    // and this test exists to see worker spans in the trace.
-    std::env::set_var(dpr_gp::BATCH_ENV, "0");
     std::env::set_var("DPR_TRACE_EVENTS", &out);
 
     let run = fleet_traced(&[CarId::M], 1, Duration::ZERO);
 
     std::env::remove_var("DPR_TRACE_EVENTS");
-    std::env::remove_var(dpr_gp::BATCH_ENV);
     std::env::remove_var("DPR_THREADS");
     std::env::remove_var("DPR_QUICK");
 
@@ -70,6 +66,23 @@ fn fleet_trace_export_has_pipeline_events_across_threads() {
     assert!(
         tids.len() >= 2,
         "expected spans from at least two threads under DPR_THREADS=2, got tids {tids:?}"
+    );
+    // The sensor fan-out put part of the car's inference on a pool row.
+    let worker_tids: BTreeSet<u64> = events
+        .iter()
+        .filter(|e| field(e, "name") == Some(Value::Str("thread_name".into())))
+        .filter(|e| {
+            matches!(field(e, "args").and_then(|a| field(&a, "name")),
+                     Some(Value::Str(name)) if name.starts_with("gp-worker-"))
+        })
+        .filter_map(|e| match field(e, "tid") {
+            Some(Value::UInt(tid)) => Some(tid),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        worker_tids.iter().any(|tid| tids.contains(tid)),
+        "no complete event on a gp-worker-* thread"
     );
 
     // Every complete event carries the timeline fields Perfetto needs.

@@ -12,10 +12,12 @@
 //!   bit-identical to the recursive walker;
 //! * each generation is bred *sequentially* (all RNG draws happen here,
 //!   selecting from the previous, fully-scored generation) and then scored
-//!   *in parallel* on the [`dpr_par`] pool in index order. Individuals
-//!   carried over unchanged — the elite, reproduction children, and
-//!   depth-limit fallbacks — reuse their parent's cached score instead of
-//!   being re-evaluated.
+//!   with one `par_map` over the [`dpr_par`] pool in index order. Inside
+//!   the pipeline each fit is already one task of the per-sensor fan-out,
+//!   so that call is nested and drains inline; only a standalone fit
+//!   reaches the pool. Individuals carried over unchanged — the elite,
+//!   reproduction children, and depth-limit fallbacks — reuse their
+//!   parent's cached score instead of being re-evaluated.
 //!
 //! Because scoring is pure and its outputs are reassembled in input order,
 //! a run with `DPR_THREADS=8` produces exactly the same [`FittedModel`] as
@@ -34,36 +36,8 @@ use crate::model::FittedModel;
 use crate::scaling::ScalePlan;
 use crate::{Dataset, Metric};
 
-/// The environment variable controlling batched scoring dispatch:
-/// a number is the minimum count of distinct pending programs that
-/// justifies waking the pool (`0` always uses the pool, the legacy
-/// behavior); `auto` (or unset) adapts the threshold to the measured
-/// spin-up cost of past scoring calls.
-pub const BATCH_ENV: &str = "DPR_GP_BATCH";
-
-/// The `dpr_prof` label scoring calls run under; the adaptive batch
-/// threshold reads the same label's aggregate back.
+/// The `dpr_prof` label scoring calls run under.
 const SCORE_LABEL: &str = "gp.score";
-
-/// Resolves the minimum batch size for pool dispatch. Read per scoring
-/// call, like `DPR_THREADS`, so it can be retuned between fits.
-fn batch_min() -> usize {
-    match std::env::var(BATCH_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => adaptive_batch_min(),
-        },
-        Err(_) => adaptive_batch_min(),
-    }
-}
-
-/// The adaptive threshold: wake the pool only when the predicted parallel
-/// saving clears twice the scoring label's measured spin-up cost. The
-/// prediction itself lives in [`dpr_prof::break_even_items`], fed by the
-/// per-call profiles the pool records under [`SCORE_LABEL`].
-fn adaptive_batch_min() -> usize {
-    dpr_prof::break_even_items(SCORE_LABEL, dpr_par::threads())
-}
 
 /// Which functions the engine may use as tree nodes.
 ///
@@ -495,20 +469,17 @@ impl SymbolicRegressor {
     /// Entries carrying a cached `(error, fitness)` — individuals the
     /// breeding phase copied over unchanged — are not re-scored. The rest
     /// are compiled once on the breeding thread, deduplicated by compiled
-    /// program structure (`DPR_GP_DEDUP`, on by default), and the distinct
-    /// programs are dispatched through the [`dpr_par`] pool — or drained
-    /// inline when the batch is too small to amortize pool wake-up
-    /// (`DPR_GP_BATCH`; the adaptive default sizes the threshold from the
-    /// scoring label's measured spin-up cost in [`dpr_prof`]).
+    /// program structure, and the distinct programs are mapped through
+    /// the [`dpr_par`] pool. A fit that is itself a task of the pipeline's
+    /// sensor fan-out makes a nested call, which drains inline on that
+    /// task's thread.
     ///
-    /// Every decision along that path is timing-blind where it must be:
-    /// scoring is pure, results come back in index order, a duplicate
-    /// reuses the bit-identical error its representative computed, and
-    /// the inline/pool split changes scheduling only — so the outcome is
-    /// bit-identical for any `DPR_THREADS`/`DPR_GP_DEDUP`/`DPR_GP_BATCH`
-    /// combination. `evaluations` stays the *logical* count (pending ×
-    /// rows) regardless of dedup, so reported work is comparable across
-    /// configurations; the physical saving shows up in `gp.dedup_hits`.
+    /// Scoring is pure, results come back in index order, and a
+    /// duplicate reuses the bit-identical error its representative
+    /// computed, so the outcome is bit-identical for any `DPR_THREADS`.
+    /// `evaluations` stays the *logical* count (pending × rows)
+    /// regardless of dedup; the physical saving shows up in
+    /// `gp.dedup_hits`.
     fn score_pending(
         &self,
         planned: Vec<(Expr, Option<(f64, f64)>)>,
@@ -536,11 +507,7 @@ impl SymbolicRegressor {
             .iter()
             .map(|&i| CompiledExpr::compile(&planned[i].0))
             .collect();
-        let groups = if crate::dedup::enabled() {
-            crate::dedup::group(&programs)
-        } else {
-            crate::dedup::DedupGroups::identity(programs.len())
-        };
+        let groups = crate::dedup::group(&programs);
         if !programs.is_empty() {
             dpr_telemetry::counter("gp.dedup_distinct").inc(groups.reps.len() as u64);
             if groups.hits() > 0 {
@@ -550,12 +517,10 @@ impl SymbolicRegressor {
         let distinct: Vec<&CompiledExpr> = groups.reps.iter().map(|&r| &programs[r]).collect();
 
         let metric = self.config.metric;
-        let min_items = batch_min();
         // Labelled so the profile store attributes the pool call (and its
-        // per-worker busy/idle/alloc accounting) to GP fitness scoring —
-        // and so the adaptive batch threshold can read the label back.
+        // per-worker busy/idle/alloc accounting) to GP fitness scoring.
         let errors: Vec<f64> = dpr_prof::with_label(SCORE_LABEL, || {
-            dpr_par::Pool::from_env().par_map_batched(&distinct, min_items, |program| {
+            dpr_par::Pool::from_env().par_map(&distinct, |program| {
                 crate::compile::with_thread_scratch(|scratch| {
                     program.error_on(cols, metric, scratch)
                 })

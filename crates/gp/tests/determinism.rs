@@ -1,18 +1,15 @@
 //! Regression test: parallel fitness scoring is **bit-identical** to
-//! sequential scoring — and so are population-wide dedup and batched
-//! dispatch, the two scoring-path optimizations layered on top. All
-//! randomness lives in the sequential breeding phase and evaluation is a
-//! pure, index-order-preserving map, so the same seed must yield the
-//! same model and the same per-generation error trajectory at any
-//! `DPR_THREADS` setting, with `DPR_GP_DEDUP` on or off, and for any
-//! `DPR_GP_BATCH` policy (adaptive, always-pool, or a fixed threshold).
+//! sequential scoring, and so is population-wide dedup, which every
+//! scoring call runs. All randomness lives in the sequential breeding
+//! phase and evaluation is a pure, index-order-preserving map, so the
+//! same seed must yield the same model and the same per-generation error
+//! trajectory at any `DPR_THREADS` setting.
 //!
 //! Everything runs inside ONE `#[test]` function: the test mutates the
-//! `DPR_THREADS` / `DPR_GP_DEDUP` / `DPR_GP_BATCH` process environment,
-//! and sibling tests in this binary would otherwise race on it.
+//! `DPR_THREADS` process environment, and sibling tests in this binary
+//! would otherwise race on it.
 
-use dpr_gp::dedup::DEDUP_ENV;
-use dpr_gp::{Dataset, FittedModel, GpConfig, GpReport, SymbolicRegressor, BATCH_ENV};
+use dpr_gp::{Dataset, FittedModel, GpConfig, GpReport, SymbolicRegressor};
 
 fn fit_dataset(seed: u64, data: &Dataset) -> (FittedModel, GpReport) {
     let mut gp = SymbolicRegressor::new(GpConfig::fast(seed));
@@ -42,76 +39,44 @@ fn sample_datasets() -> Vec<Dataset> {
     ]
 }
 
-fn set_config(threads: &str, dedup: &str, batch: &str) {
-    std::env::set_var("DPR_THREADS", threads);
-    std::env::set_var(DEDUP_ENV, dedup);
-    std::env::set_var(BATCH_ENV, batch);
-}
-
 /// One test fn on purpose — see module docs.
 #[test]
 fn parallel_fit_is_bit_identical_to_sequential() {
-    let restore: Vec<(&str, Option<String>)> = ["DPR_THREADS", DEDUP_ENV, BATCH_ENV]
-        .iter()
-        .map(|k| (*k, std::env::var(k).ok()))
-        .collect();
-
-    // The full scoring-path matrix: every thread count × dedup on/off ×
-    // batch policy (adaptive, always-pool, fixed threshold) must produce
-    // the same bits as the sequential default-config fit.
-    let threads = ["1", "2", "4"];
-    let dedups = ["1", "0"];
-    let batches = ["auto", "0", "6"];
+    let restore = std::env::var("DPR_THREADS").ok();
 
     for (k, data) in sample_datasets().iter().enumerate() {
         for seed in [2023u64, 7] {
-            set_config("1", "1", "auto");
+            std::env::set_var("DPR_THREADS", "1");
             let (seq_model, seq_report) = fit_dataset(seed, data);
 
-            for t in threads {
-                for dedup in dedups {
-                    for batch in batches {
-                        if (t, dedup, batch) == ("1", "1", "auto") {
-                            continue;
-                        }
-                        set_config(t, dedup, batch);
-                        let (model, report) = fit_dataset(seed, data);
-                        let config = format!(
-                            "dataset {k} seed {seed}: threads {t}, dedup {dedup}, batch {batch}"
-                        );
-                        assert_eq!(seq_model, model, "{config}: model differs");
-                        // Trajectories bit-for-bit, not just approximately.
-                        let seq_bits: Vec<u64> = seq_report
-                            .best_error_history
-                            .iter()
-                            .map(|e| e.to_bits())
-                            .collect();
-                        let bits: Vec<u64> = report
-                            .best_error_history
-                            .iter()
-                            .map(|e| e.to_bits())
-                            .collect();
-                        assert_eq!(seq_bits, bits, "{config}: error trajectory differs");
-                        assert_eq!(
-                            seq_report.stopped_by_threshold, report.stopped_by_threshold,
-                            "{config}: stop reason differs"
-                        );
-                        // `evaluations` counts logical evaluations, so it
-                        // is invariant under dedup as well as threads.
-                        assert_eq!(
-                            seq_model.evaluations, model.evaluations,
-                            "{config}: evaluation counts differ"
-                        );
-                    }
-                }
+            for t in ["2", "4"] {
+                std::env::set_var("DPR_THREADS", t);
+                let (model, report) = fit_dataset(seed, data);
+                let config = format!("dataset {k} seed {seed}: threads {t}");
+                assert_eq!(seq_model, model, "{config}: model differs");
+                // Trajectories bit-for-bit, not just approximately.
+                let bits = |r: &GpReport| -> Vec<u64> {
+                    r.best_error_history.iter().map(|e| e.to_bits()).collect()
+                };
+                assert_eq!(
+                    bits(&seq_report),
+                    bits(&report),
+                    "{config}: error trajectory differs"
+                );
+                assert_eq!(
+                    seq_report.stopped_by_threshold, report.stopped_by_threshold,
+                    "{config}: stop reason differs"
+                );
+                assert_eq!(
+                    seq_model.evaluations, model.evaluations,
+                    "{config}: evaluation counts differ"
+                );
             }
         }
     }
 
-    for (key, value) in restore {
-        match value {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
-        }
+    match restore {
+        Some(v) => std::env::set_var("DPR_THREADS", v),
+        None => std::env::remove_var("DPR_THREADS"),
     }
 }

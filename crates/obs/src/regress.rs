@@ -37,12 +37,11 @@ pub enum Direction {
 /// negative scaling in).
 pub const SPEEDUP_FLOOR: f64 = 1.0;
 
-/// Measurement-noise allowance under [`SPEEDUP_FLOOR`]. On hosts where
-/// the adaptive dispatcher drains inline (no second core), the N-thread
-/// point runs the same code as the 1-thread point and the true ratio is
-/// exactly 1.0 — two separately timed windows still jitter a few percent
-/// around it. The floor exists to catch real negative scaling (the seed
-/// regressed to 0.80×), not that jitter.
+/// Measurement-noise allowance under [`SPEEDUP_FLOOR`]. On a host with
+/// no second core, the N-thread point timeshares one core and the true
+/// ratio is about 1.0 — two separately timed windows still jitter a few
+/// percent around it. The floor exists to catch real negative scaling
+/// (the seed regressed to 0.80×), not that jitter.
 pub const SPEEDUP_FLOOR_SLACK: f64 = 0.05;
 
 fn below_speedup_floor(key: &str, current: f64) -> bool {

@@ -75,7 +75,7 @@ mod pool;
 
 use dpr_prof::{CallProfile, WorkerStats};
 use std::sync::atomic::AtomicUsize;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// The environment variable overriding the worker-thread count.
@@ -84,17 +84,18 @@ pub const THREADS_ENV: &str = "DPR_THREADS";
 /// The effective worker-thread count: `DPR_THREADS` if set and valid,
 /// otherwise the machine's available parallelism, otherwise 1.
 ///
-/// Read on every call (not cached) so tests and long-lived processes can
-/// retune the pool between runs.
+/// `DPR_THREADS` is read on every call so tests and long-lived processes
+/// can retune the pool between runs. The core count is cached:
+/// `available_parallelism` re-reads cgroup quota files on every call on
+/// Linux (tens of microseconds), and every GP scoring call lands here.
 pub fn threads() -> usize {
     if let Ok(v) = std::env::var(THREADS_ENV) {
         if let Ok(n) = v.trim().parse::<usize>() {
             return n.max(1);
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// A chunked fork-join facade over the process-wide persistent pool.
@@ -212,38 +213,6 @@ impl Pool {
             .into_iter()
             .flat_map(|slot| slot.expect("every chunk was claimed and filled"))
             .collect()
-    }
-
-    /// [`par_map`](Pool::par_map) behind a minimum-batch gate: batches of
-    /// fewer than `min_items` items are drained inline on the caller's
-    /// thread (never waking the pool), larger ones are flushed through it
-    /// in one call. `min_items == 0` always flushes.
-    ///
-    /// The decision is timing-blind — it looks only at the batch size the
-    /// caller computed — so results stay bit-identical whichever side is
-    /// taken; only the `par.batch_*` telemetry (which the determinism
-    /// suite strips along with the rest of `par.*`) records the choice.
-    /// A call from inside a pool task cannot reach the pool, so it always
-    /// counts as an inline drain and leaves the threshold gauge alone.
-    pub fn par_map_batched<T, R, F>(&self, items: &[T], min_items: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        if self.threads > 1 && pool::in_worker() {
-            dpr_telemetry::counter("par.batch_inline_drains").inc(1);
-        } else if self.threads > 1 {
-            // `usize::MAX` is the "never flush" sentinel (hosts with no
-            // second core); saturate rather than wrap the gauge.
-            dpr_telemetry::gauge("par.batch_threshold").set(min_items.min(i64::MAX as usize) as i64);
-            if min_items > 0 && items.len() < min_items {
-                dpr_telemetry::counter("par.batch_inline_drains").inc(1);
-                return Pool::new(1).par_map(items, f);
-            }
-            dpr_telemetry::counter("par.batch_flushes").inc(1);
-        }
-        self.par_map(items, f)
     }
 }
 
@@ -469,13 +438,40 @@ mod tests {
 
     #[test]
     fn nested_calls_run_inline_without_deadlock() {
+        let reg = std::sync::Arc::new(dpr_telemetry::Registry::new());
         let outer: Vec<u32> = (0..16).collect();
-        let out = Pool::new(4).par_map(&outer, |x| {
-            let inner: Vec<u32> = (0..8).collect();
-            Pool::new(4).par_map(&inner, |y| y + x).iter().sum::<u32>()
+        let out = dpr_telemetry::scoped(std::sync::Arc::clone(&reg), || {
+            Pool::new(4).par_map(&outer, |x| {
+                let inner: Vec<u32> = (0..8).collect();
+                Pool::new(4).par_map(&inner, |y| y + x).iter().sum::<u32>()
+            })
         });
         let expect: Vec<u32> = outer.iter().map(|x| (0..8).map(|y| y + x).sum()).collect();
         assert_eq!(out, expect);
+        // Only the outer call reached the pool; every nested one drained
+        // inline on the task's thread.
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters.get("par.calls"), Some(&1));
+        assert_eq!(snap.counters.get("par.inline_calls"), Some(&16));
+    }
+
+    #[test]
+    fn batched_calls_nested_in_a_pool_task_count_as_inline_drains() {
+        let reg = std::sync::Arc::new(dpr_telemetry::Registry::new());
+        let outer: Vec<u64> = (0..8).collect();
+        let inner: Vec<u64> = (0..64).collect();
+        let out = dpr_telemetry::scoped(std::sync::Arc::clone(&reg), || {
+            Pool::new(2).par_map(&outer, |x| {
+                // A large inner batch still drains on the task's thread.
+                Pool::new(2).par_map(&inner, |y| x + y).iter().sum::<u64>()
+            })
+        });
+        let expect: Vec<u64> = outer.iter().map(|x| inner.iter().map(|y| x + y).sum()).collect();
+        assert_eq!(out, expect);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters.get("par.inline_calls"), Some(&8));
+        // Only the outer call reached the pool.
+        assert_eq!(snap.counters.get("par.calls"), Some(&1));
     }
 
     #[test]
@@ -519,44 +515,6 @@ mod tests {
         assert_eq!(snap.counters.get("par.calls"), Some(&1));
         assert_eq!(snap.counters.get("par.items"), Some(&64));
         assert_eq!(snap.histograms["par.utilization"].count, 1);
-    }
-
-    #[test]
-    fn batched_dispatch_is_identical_on_both_sides_of_the_gate() {
-        let items: Vec<u64> = (0..48).collect();
-        let f = |x: &u64| (*x as f64).sqrt().sin();
-        let pooled = Pool::new(4).par_map_batched(&items, 8, f);
-        let drained = Pool::new(4).par_map_batched(&items[..4], 8, f);
-        let reference: Vec<f64> = items.iter().map(f).collect();
-        assert!(pooled
-            .iter()
-            .zip(&reference)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert!(drained
-            .iter()
-            .zip(&reference[..4])
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn batched_calls_nested_in_a_pool_task_count_as_inline_drains() {
-        let reg = std::sync::Arc::new(dpr_telemetry::Registry::new());
-        let outer: Vec<u64> = (0..8).collect();
-        let inner: Vec<u64> = (0..64).collect();
-        let out = dpr_telemetry::scoped(std::sync::Arc::clone(&reg), || {
-            Pool::new(2).par_map(&outer, |x| {
-                // `0` would always flush from the top level.
-                Pool::new(2).par_map_batched(&inner, 0, |y| x + y).iter().sum::<u64>()
-            })
-        });
-        let expect: Vec<u64> = outer.iter().map(|x| inner.iter().map(|y| x + y).sum()).collect();
-        assert_eq!(out, expect);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters.get("par.batch_inline_drains"), Some(&8));
-        assert_eq!(snap.counters.get("par.batch_flushes"), None);
-        assert!(!snap.gauges.contains_key("par.batch_threshold"));
-        // Only the outer call reached the pool.
-        assert_eq!(snap.counters.get("par.calls"), Some(&1));
     }
 
     #[test]

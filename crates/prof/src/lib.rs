@@ -55,8 +55,8 @@ mod store;
 
 pub use report::{render_report, PoolReport};
 pub use store::{
-    break_even_items, label_summary, record_call, reset, snapshot, CallProfile, LabelSummary,
-    ProfSnapshot, WorkerStats,
+    label_summary, record_call, reset, snapshot, CallProfile, LabelSummary, ProfSnapshot,
+    WorkerStats,
 };
 
 use std::cell::RefCell;

@@ -244,27 +244,6 @@ impl LabelSummary {
         }
     }
 
-    /// Mean spin-up latency of this label's *pooled* calls (inline calls
-    /// pay no spin-up and are excluded). 0.0 until a pooled call lands.
-    pub fn mean_spinup_us(&self) -> f64 {
-        let pooled = self.calls - self.inline_calls;
-        if pooled == 0 {
-            0.0
-        } else {
-            self.spinup_us as f64 / pooled as f64
-        }
-    }
-
-    /// Mean busy worker-time per mapped item, across inline and pooled
-    /// calls alike. 0.0 until items have been mapped.
-    pub fn busy_us_per_item(&self) -> f64 {
-        if self.items == 0 {
-            0.0
-        } else {
-            self.busy_us as f64 / self.items as f64
-        }
-    }
-
     fn absorb(&mut self, call: &CallProfile) {
         self.calls += 1;
         if call.inline {
@@ -358,59 +337,10 @@ pub fn reset() {
 }
 
 /// One label's cumulative aggregate, if any call has carried it — a
-/// cheap point read for adaptive dispatch decisions (the GP engine sizes
-/// its minimum batch from the scoring label's measured spin-up share).
+/// cheap point read, e.g. for checking whether a labelled call reached
+/// the pool.
 pub fn label_summary(label: &str) -> Option<LabelSummary> {
     with_store(|store| store.labels.get(label).cloned())
-}
-
-/// The adaptive dispatch threshold for `label`'s workload: the minimum
-/// item count for which waking the pool is predicted to beat draining
-/// the batch inline on the submitting thread.
-///
-/// With `t` threads, farming `w` microseconds of work out saves at most
-/// `w·(t-1)/t` against inline execution and costs one wake-up, so the
-/// break-even batch is `spinup · t/(t-1)` worth of work; the factor of 2
-/// keeps marginal batches inline, where the caller-participating pool
-/// path and the inline path cost nearly the same anyway. Until a pooled
-/// call has been measured under `label` (or when per-item cost reads as
-/// zero) the threshold is 0 — use the pool, which is what seeds the
-/// label's aggregate. Clamped to 512 items so one pessimistic cold-start
-/// sample (thread spawn inflates the first spin-up) can never pin a real
-/// population's work inline forever.
-///
-/// One hardware fact overrides the measurements: when the host cannot
-/// actually run a second worker ([`std::thread::available_parallelism`]
-/// ≤ 1), pooled dispatch of compute-bound work can only lose — the
-/// "parallel" worker timeshares the caller's core and every wake-up is
-/// pure overhead. Spin-up *samples* are bistable there (a pre-warmed
-/// worker occasionally wakes fast, luring the threshold down), so the
-/// core count gates absolutely: the threshold is `usize::MAX` and every
-/// batch drains inline.
-pub fn break_even_items(label: &str, threads: usize) -> usize {
-    if threads <= 1 {
-        return 0;
-    }
-    // Cached: `available_parallelism` re-reads cgroup quota files on
-    // every call on Linux (tens of microseconds), and this runs on the
-    // dispatch hot path once per scoring batch.
-    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let available = *AVAILABLE.get_or_init(|| {
-        std::thread::available_parallelism().map_or(usize::MAX, |n| n.get())
-    });
-    if available <= 1 {
-        return usize::MAX;
-    }
-    let Some(label) = label_summary(label) else {
-        return 0;
-    };
-    let spinup_us = label.mean_spinup_us();
-    let item_us = label.busy_us_per_item();
-    if spinup_us <= 0.0 || item_us <= 0.0 {
-        return 0;
-    }
-    let break_even_us = 2.0 * spinup_us * threads as f64 / (threads as f64 - 1.0);
-    ((break_even_us / item_us).ceil() as usize).min(512)
 }
 
 #[cfg(test)]

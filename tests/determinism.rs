@@ -3,10 +3,7 @@
 //! `DPR_THREADS=1` must equal `DPR_THREADS=N` — same
 //! `ReverseEngineeringResult`, same GP error trajectories, same
 //! telemetry counters — because all randomness stays in the sequential
-//! breeding phase and parallel scoring preserves index order. The
-//! scoring-path optimizations layered on top (`DPR_GP_DEDUP` subtree
-//! dedup, `DPR_GP_BATCH` dispatch policy) must also leave the result
-//! untouched at any thread count.
+//! breeding phase and parallel scoring preserves index order.
 //!
 //! Inference fits every matched sensor as one `dpr-par` job per car, so
 //! at `DPR_THREADS` ≥ 2 the test also reads the run's pool accounting
@@ -14,8 +11,8 @@
 //! pool — otherwise the comparison would pit inline against inline.
 //!
 //! Single `#[test]` function on purpose: the test mutates the
-//! `DPR_THREADS` / `DPR_GP_DEDUP` / `DPR_GP_BATCH` process
-//! environment, and sibling tests in this binary would race on it.
+//! `DPR_THREADS` process environment, and sibling tests in this binary
+//! would race on it.
 
 use dp_reverser::{DpReverser, PipelineConfig, ReverseEngineeringResult};
 use dpr_can::Micros;
@@ -59,19 +56,9 @@ fn analyze_scoped(
 /// accounting, and the `gp.evals_per_sec` throughput gauge. Everything
 /// else — counters, the `gp.best_error_trajectory` histogram, SDU-size
 /// histograms — must match exactly across thread counts.
-///
-/// With `same_dedup_config: false` the `gp.dedup_*` counters are also
-/// dropped: they count cache behaviour, which legitimately differs
-/// between dedup-on and dedup-off runs (both are still required to be
-/// thread-count-invariant, which the `same_dedup_config: true`
-/// comparisons check).
-fn deterministic_view(snapshot: &MetricsSnapshot, same_dedup_config: bool) -> MetricsSnapshot {
+fn deterministic_view(snapshot: &MetricsSnapshot) -> MetricsSnapshot {
     let mut view = snapshot.without_prefixes(&["span.", "par.", "prof."]);
     view.gauges.remove("gp.evals_per_sec");
-    if !same_dedup_config {
-        view.counters.remove("gp.dedup_hits");
-        view.counters.remove("gp.dedup_distinct");
-    }
     view
 }
 
@@ -82,6 +69,12 @@ fn pooled_fanouts() -> u64 {
         .map_or(0, |label| label.calls - label.inline_calls)
 }
 
+/// GP scoring calls so far in this process, and how many of them
+/// drained inline.
+fn score_calls() -> (u64, u64) {
+    dpr_prof::label_summary("gp.score").map_or((0, 0), |label| (label.calls, label.inline_calls))
+}
+
 /// One test fn on purpose — see module docs.
 #[test]
 fn analyze_is_bit_identical_across_thread_counts() {
@@ -89,36 +82,33 @@ fn analyze_is_bit_identical_across_thread_counts() {
         .ok()
         .filter(|v| !v.trim().is_empty())
         .unwrap_or_else(|| "4".to_string());
-    let restore: Vec<(&str, Option<String>)> =
-        ["DPR_THREADS", dpr_gp::dedup::DEDUP_ENV, dpr_gp::BATCH_ENV]
-            .iter()
-            .map(|k| (*k, std::env::var(k).ok()))
-            .collect();
-    let set_gp_config = |dedup: &str, batch: &str| {
-        std::env::set_var(dpr_gp::dedup::DEDUP_ENV, dedup);
-        std::env::set_var(dpr_gp::BATCH_ENV, batch);
-    };
+    let restore = std::env::var("DPR_THREADS").ok();
 
     // Two Tab. 3 car profiles: Car M (formula + enum ESVs) and Car O
     // (ECR recovery) — together they exercise every analyze stage.
     for (id, seed) in [(CarId::M, 5), (CarId::O, 13)] {
         let report = quick_collect(id, seed);
 
-        set_gp_config("1", "auto");
         std::env::set_var("DPR_THREADS", "1");
         let (seq_result, seq_metrics) = analyze_scoped(seed, &report);
         std::env::set_var("DPR_THREADS", &parallel);
         let fanouts_before = pooled_fanouts();
+        let (calls_before, inline_before) = score_calls();
         let (par_result, par_metrics) = analyze_scoped(seed, &report);
         if parallel.trim().parse::<usize>().is_ok_and(|n| n >= 2) {
             // One pool job per car: the fan-out ran on the pool, it was
-            // the run's only pooled call, and every GP scoring batch
+            // the run's only pooled call, and every GP scoring call
             // nested under it drained inline.
             assert_eq!(pooled_fanouts() - fanouts_before, 1, "{id:?}: fan-out ran inline");
             let counter = |name: &str| par_metrics.counters.get(name).copied().unwrap_or(0);
             assert_eq!(counter("par.calls"), 1, "{id:?}: pooled calls besides the fan-out");
-            assert!(counter("par.batch_inline_drains") > 0, "{id:?}: no nested GP scoring");
-            assert_eq!(counter("par.batch_flushes"), 0, "{id:?}: a nested batch flushed");
+            let (calls, inline) = score_calls();
+            assert!(calls > calls_before, "{id:?}: no GP scoring");
+            assert_eq!(
+                inline - inline_before,
+                calls - calls_before,
+                "{id:?}: a nested GP scoring call reached the pool"
+            );
         }
 
         assert_eq!(
@@ -126,37 +116,17 @@ fn analyze_is_bit_identical_across_thread_counts() {
             "{id:?}: result differs between 1 and {parallel} threads"
         );
         assert_eq!(
-            deterministic_view(&seq_metrics, true),
-            deterministic_view(&par_metrics, true),
+            deterministic_view(&seq_metrics),
+            deterministic_view(&par_metrics),
             "{id:?}: telemetry (GP error trajectories, counters) differs"
         );
         // The GP actually ran, so the comparison above had teeth.
         assert!(seq_metrics.counters.get("gp.fits").copied().unwrap_or(0) > 0);
         assert!(seq_metrics.histograms.contains_key("gp.best_error_trajectory"));
-
-        // Scoring-path knobs: dedup off + always-pool batching, and
-        // dedup on + always-pool, both at the parallel thread count,
-        // must reproduce the sequential default-config result exactly.
-        for (dedup, batch) in [("0", "0"), ("1", "0")] {
-            set_gp_config(dedup, batch);
-            let (alt_result, alt_metrics) = analyze_scoped(seed, &report);
-            assert_eq!(
-                seq_result, alt_result,
-                "{id:?}: result differs with dedup={dedup} batch={batch}"
-            );
-            let same_dedup = dedup == "1";
-            assert_eq!(
-                deterministic_view(&seq_metrics, same_dedup),
-                deterministic_view(&alt_metrics, same_dedup),
-                "{id:?}: telemetry differs with dedup={dedup} batch={batch}"
-            );
-        }
     }
 
-    for (key, value) in restore {
-        match value {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
-        }
+    match restore {
+        Some(v) => std::env::set_var("DPR_THREADS", v),
+        None => std::env::remove_var("DPR_THREADS"),
     }
 }
