@@ -195,7 +195,7 @@ pub fn run_load(config: &LoadConfig, quick: bool) -> LoadRun {
         // Tight sampling so even the quick run spans several windows;
         // ignores `DPR_SERIES_*` on purpose — bench numbers should not
         // move with ambient environment tuning.
-        series: Some(dpr_series::SeriesConfig {
+        series: Some(dpr_obs::series::SeriesConfig {
             interval: Duration::from_millis(50),
             capacity: 256,
         }),
@@ -275,7 +275,7 @@ pub fn run_load(config: &LoadConfig, quick: bool) -> LoadRun {
 }
 
 /// Fetches `GET /metrics/history` and parses the series document.
-fn fetch_history(addr: SocketAddr) -> dpr_series::History {
+fn fetch_history(addr: SocketAddr) -> dpr_obs::series::History {
     let mut response = Vec::with_capacity(4096);
     let status = submit_once(
         addr,
@@ -291,7 +291,7 @@ fn fetch_history(addr: SocketAddr) -> dpr_series::History {
 
 /// The busiest (most-observations) window of the submit route's
 /// sliding-window latency series, plus how many windows saw traffic.
-fn summarize_windows(history: &dpr_series::History) -> (u64, f64, f64) {
+fn summarize_windows(history: &dpr_obs::series::History) -> (u64, f64, f64) {
     let Some(series) = history.histograms.get("http.jobs.latency_us") else {
         return (0, 0.0, 0.0);
     };

@@ -5,7 +5,7 @@
 //! the sliding-window latency quantiles — a `top(1)` for the analysis
 //! service, no scrape stack required.
 
-use dpr_series::{History, SloStatus, WindowPoint};
+use dpr_obs::series::{History, SloStatus, WindowPoint};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -156,7 +156,7 @@ pub fn render(addr: &str, history: &History) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpr_series::{GaugePoint, RatePoint};
+    use dpr_obs::series::{GaugePoint, RatePoint};
 
     #[test]
     fn sparkline_scales_to_the_window_maximum() {

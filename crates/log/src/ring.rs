@@ -4,13 +4,12 @@
 //! sinks are enabled, so `GET /debug/snapshot` can always show the
 //! recent history of a process that was started with no logging
 //! configured at all. The ring is a single short-critical-section
-//! mutex around a `VecDeque`: a push is one lock, one `push_back`,
-//! and at most one `pop_front` — overwritten records are counted,
-//! never silently lost.
+//! mutex around a [`dpr_telemetry::Ring`]: a push is one lock and one
+//! bounded append, and overwritten records are counted, never silently
+//! lost.
 
 use crate::Record;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One retained record plus its global sequence number. Sequence
@@ -24,84 +23,72 @@ pub struct RingEntry {
     pub record: Arc<Record>,
 }
 
-struct RingInner {
-    buf: VecDeque<RingEntry>,
-    pushed: u64,
-    overwritten: u64,
-}
-
 /// A bounded ring of the most recent log records.
 pub struct Ring {
-    inner: Mutex<RingInner>,
-    capacity: usize,
+    inner: Mutex<dpr_telemetry::Ring<RingEntry>>,
 }
 
 impl Ring {
     /// A ring retaining at most `capacity` records (floored to 1).
     pub fn new(capacity: usize) -> Ring {
         Ring {
-            inner: Mutex::new(RingInner {
-                buf: VecDeque::new(),
-                pushed: 0,
-                overwritten: 0,
-            }),
-            capacity: capacity.max(1),
+            inner: Mutex::new(dpr_telemetry::Ring::new(capacity)),
         }
     }
 
     /// The retention bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.inner.lock().capacity()
     }
 
     /// Appends a record, evicting (and counting) the oldest when full.
     /// Returns the record's sequence number.
     pub fn push(&self, record: Arc<Record>) -> u64 {
         let mut inner = self.inner.lock();
-        let seq = inner.pushed;
-        inner.pushed += 1;
-        if inner.buf.len() >= self.capacity {
-            inner.buf.pop_front();
-            inner.overwritten += 1;
-        }
-        inner.buf.push_back(RingEntry { seq, record });
+        let seq = pushed(&inner);
+        inner.push(RingEntry { seq, record });
         seq
     }
 
     /// The retained records, oldest first, in sequence order.
     pub fn snapshot(&self) -> Vec<RingEntry> {
-        self.inner.lock().buf.iter().cloned().collect()
+        self.inner.lock().iter().cloned().collect()
     }
 
     /// Total records ever pushed.
     pub fn pushed(&self) -> u64 {
-        self.inner.lock().pushed
+        pushed(&self.inner.lock())
     }
 
     /// Records evicted to respect the capacity bound.
     pub fn overwritten(&self) -> u64 {
-        self.inner.lock().overwritten
+        self.inner.lock().dropped()
     }
 
     /// Records currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
+        self.inner.lock().len()
     }
 
     /// Whether nothing has been retained yet.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().buf.is_empty()
+        self.inner.lock().is_empty()
     }
+}
+
+/// Every record pushed is either still retained or was evicted.
+fn pushed(ring: &dpr_telemetry::Ring<RingEntry>) -> u64 {
+    ring.len() as u64 + ring.dropped()
 }
 
 impl std::fmt::Debug for Ring {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("Ring")
-            .field("len", &inner.buf.len())
-            .field("capacity", &self.capacity)
-            .field("pushed", &inner.pushed)
-            .field("overwritten", &inner.overwritten)
+            .field("len", &inner.len())
+            .field("capacity", &inner.capacity())
+            .field("pushed", &pushed(&inner))
+            .field("overwritten", &inner.dropped())
             .finish()
     }
 }

@@ -41,8 +41,10 @@
 
 use crate::http::{self, HeadError, RequestHead};
 use crate::prom;
+use crate::series::{Sampler, SeriesConfig};
 use crate::table::SessionTable;
-use dpr_telemetry::{PipelineTrace, Registry};
+use dpr_telemetry::json::{self, Value};
+use dpr_telemetry::{PipelineTrace, Registry, Ring};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io;
@@ -105,10 +107,8 @@ pub struct RunListing {
 /// counter on the calling thread's telemetry registry.
 #[derive(Debug)]
 pub struct RunStore {
-    runs: VecDeque<RunRecord>,
+    runs: Ring<RunRecord>,
     next_id: u64,
-    capacity: usize,
-    evicted: u64,
 }
 
 /// How many published runs `GET /runs` retains by default.
@@ -124,16 +124,14 @@ impl RunStore {
     /// A store retaining at most `capacity` runs (floored to 1).
     pub fn with_capacity(capacity: usize) -> RunStore {
         RunStore {
-            runs: VecDeque::new(),
+            runs: Ring::new(capacity),
             next_id: 0,
-            capacity: capacity.max(1),
-            evicted: 0,
         }
     }
 
     /// The retention bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.runs.capacity()
     }
 
     /// Appends a run, assigns its id, and evicts the oldest beyond the
@@ -152,21 +150,15 @@ impl RunStore {
     ) -> String {
         self.next_id += 1;
         let id = format!("run-{}", self.next_id);
-        self.runs.push_back(RunRecord {
+        let evicted = self.runs.push(RunRecord {
             id: id.clone(),
             at_ms,
             job,
             sensors: ledger.chains.iter().map(|c| c.slug.clone()).collect(),
             ledger,
         });
-        let mut dropped = 0;
-        while self.runs.len() > self.capacity {
-            self.runs.pop_front();
-            dropped += 1;
-        }
-        if dropped > 0 {
-            self.evicted += dropped;
-            dpr_telemetry::counter("runs.evicted").inc(dropped);
+        if evicted.is_some() {
+            dpr_telemetry::counter("runs.evicted").inc(1);
         }
         id
     }
@@ -194,7 +186,7 @@ impl RunStore {
 
     /// How many runs the capacity bound has evicted so far.
     pub fn evicted(&self) -> u64 {
-        self.evicted
+        self.runs.dropped()
     }
 
     /// The named sensor's chain from the most recent run that has it.
@@ -293,6 +285,14 @@ pub fn route_slug(path: &str) -> &'static str {
     }
 }
 
+/// `value` as a JSON tree. A value the codec cannot encode becomes
+/// `{"error":"<why>"}`, built through the same codec, so every JSON
+/// response body is well-formed.
+pub fn json_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {
+    json::to_value(value)
+        .unwrap_or_else(|e| Value::Object(vec![("error".to_string(), Value::Str(e.to_string()))]))
+}
+
 /// One connection being answered: the stream, the registry that counts
 /// responses, and the request's identity (route slug + `req-NNNNNN`
 /// correlation id). Every response written through [`Conn::respond`] /
@@ -342,6 +342,16 @@ impl<'a> Conn<'a> {
     /// Writes a complete response and counts its status code.
     pub fn respond(&mut self, status: &str, content_type: &str, body: &str) -> io::Result<()> {
         self.respond_with(status, content_type, &[], body)
+    }
+
+    /// Writes `value` as an `application/json` response
+    /// (see [`json_value`] for the encoding-failure body).
+    pub fn respond_json<T: serde::Serialize + ?Sized>(
+        &mut self,
+        status: &str,
+        value: &T,
+    ) -> io::Result<()> {
+        self.respond(status, "application/json", &json_value(value).to_json())
     }
 
     /// [`Conn::respond`] with verbatim extra header lines
@@ -761,7 +771,7 @@ pub struct ObsRouter {
     registry: Arc<Registry>,
     trace: SharedTrace,
     runs: SharedRuns,
-    series: Option<Arc<dpr_series::Sampler>>,
+    series: Option<Arc<Sampler>>,
     started: Instant,
 }
 
@@ -784,13 +794,13 @@ impl ObsRouter {
 
     /// Attaches a series sampler: `GET /metrics/history` serves its
     /// windowed rate/quantile series (404 without one).
-    pub fn with_series(mut self, series: Arc<dpr_series::Sampler>) -> ObsRouter {
+    pub fn with_series(mut self, series: Arc<Sampler>) -> ObsRouter {
         self.series = Some(series);
         self
     }
 
     /// The attached series sampler, if any.
-    pub fn series(&self) -> Option<&Arc<dpr_series::Sampler>> {
+    pub fn series(&self) -> Option<&Arc<Sampler>> {
         self.series.as_ref()
     }
 
@@ -824,11 +834,7 @@ impl ObsRouter {
         if let Some(slug) = path.strip_prefix("/evidence/") {
             let store = self.runs.lock();
             match store.chain(slug) {
-                Some(chain) => {
-                    let body = dpr_telemetry::json::to_string(chain)
-                        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-                    conn.respond("200 OK", "application/json", &body)?;
-                }
+                Some(chain) => conn.respond_json("200 OK", chain)?,
                 None => {
                     let known = store.known_sensors().join(" ");
                     conn.respond(
@@ -847,11 +853,7 @@ impl ObsRouter {
                 &prom::render(&self.registry.snapshot()),
             )?,
             "/metrics/history" => match &self.series {
-                Some(sampler) => {
-                    let body = dpr_telemetry::json::to_string(&sampler.history())
-                        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-                    conn.respond("200 OK", "application/json", &body)?;
-                }
+                Some(sampler) => conn.respond_json("200 OK", &sampler.history())?,
                 None => {
                     conn.respond(
                         "404 Not Found",
@@ -861,11 +863,7 @@ impl ObsRouter {
                 }
             },
             "/trace" => match self.trace.lock().clone() {
-                Some(trace) => {
-                    let body = dpr_telemetry::json::to_string(&trace)
-                        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-                    conn.respond("200 OK", "application/json", &body)?;
-                }
+                Some(trace) => conn.respond_json("200 OK", &trace)?,
                 None => {
                     conn.respond("404 Not Found", "text/plain", "no trace published yet\n")?;
                 }
@@ -882,15 +880,9 @@ impl ObsRouter {
                         sensors: r.sensors.clone(),
                     })
                     .collect();
-                let body = dpr_telemetry::json::to_string(&listing)
-                    .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-                conn.respond("200 OK", "application/json", &body)?;
+                conn.respond_json("200 OK", &listing)?;
             }
-            "/profile" => {
-                let body = dpr_telemetry::json::to_string(&dpr_prof::snapshot())
-                    .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-                conn.respond("200 OK", "application/json", &body)?;
-            }
+            "/profile" => conn.respond_json("200 OK", &dpr_prof::snapshot())?,
             "/healthz" => {
                 let health = HealthStatus {
                     status: "ok".to_string(),
@@ -898,9 +890,7 @@ impl ObsRouter {
                     uptime_secs: self.started.elapsed().as_secs(),
                     runs_published: self.runs.lock().published(),
                 };
-                let body = dpr_telemetry::json::to_string(&health)
-                    .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-                conn.respond("200 OK", "application/json", &body)?;
+                conn.respond_json("200 OK", &health)?;
             }
             _ => unreachable!("known paths are matched above"),
         }
@@ -934,13 +924,13 @@ impl std::fmt::Debug for ObsRouter {
 /// [`stop`](MetricsServer::stop) or drop.
 pub struct MetricsServer {
     inner: HttpServer,
-    sampler: Arc<dpr_series::Sampler>,
+    sampler: Arc<Sampler>,
 }
 
 impl MetricsServer {
     /// Binds `addr` and starts serving `registry`, `trace`, and `runs`.
-    /// A series sampler (interval/retention from the `DPR_SERIES_*`
-    /// environment, no SLOs) is started alongside, so
+    /// A series sampler (interval from `DPR_SERIES_INTERVAL_MS`, no
+    /// SLOs) is started alongside, so
     /// `GET /metrics/history` works on the standalone scrape server too.
     pub fn start(
         addr: &str,
@@ -948,9 +938,9 @@ impl MetricsServer {
         trace: SharedTrace,
         runs: SharedRuns,
     ) -> io::Result<MetricsServer> {
-        let sampler = dpr_series::Sampler::start(
+        let sampler = Sampler::start(
             Arc::clone(&registry),
-            dpr_series::SeriesConfig::from_env(),
+            SeriesConfig::from_env(),
             Vec::new(),
         );
         let router = Arc::new(
@@ -983,7 +973,7 @@ impl MetricsServer {
     }
 
     /// The series sampler behind `GET /metrics/history`.
-    pub fn sampler(&self) -> &Arc<dpr_series::Sampler> {
+    pub fn sampler(&self) -> &Arc<Sampler> {
         &self.sampler
     }
 
@@ -1090,7 +1080,7 @@ mod tests {
         let (head, body) = get(server.addr(), "/metrics/history");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert!(head.contains("application/json"), "{head}");
-        let history: dpr_series::History =
+        let history: crate::series::History =
             dpr_telemetry::json::from_str(&body).expect("history json");
         assert!(history.samples >= 2, "{history:?}");
         let series = history

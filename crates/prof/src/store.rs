@@ -1,9 +1,9 @@
 //! The process-wide profile store: per-call records and per-label
 //! cumulative aggregates.
 
+use dpr_telemetry::Ring;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// How many recent [`CallProfile`]s the store keeps verbatim; older
@@ -280,12 +280,22 @@ pub struct ProfSnapshot {
     pub recent: Vec<CallProfile>,
 }
 
-#[derive(Default)]
 struct StoreInner {
     seq: u64,
     epoch: Option<std::time::Instant>,
     labels: BTreeMap<String, LabelSummary>,
-    recent: VecDeque<CallProfile>,
+    recent: Ring<CallProfile>,
+}
+
+impl Default for StoreInner {
+    fn default() -> StoreInner {
+        StoreInner {
+            seq: 0,
+            epoch: None,
+            labels: BTreeMap::new(),
+            recent: Ring::new(RECENT_CAP),
+        }
+    }
 }
 
 static STORE: Mutex<Option<StoreInner>> = Mutex::new(None);
@@ -312,11 +322,8 @@ pub fn record_call(mut profile: CallProfile, started: std::time::Instant) -> u64
                 ..LabelSummary::default()
             })
             .absorb(&profile);
-        if store.recent.len() == RECENT_CAP {
-            store.recent.pop_front();
-        }
         let seq = profile.seq;
-        store.recent.push_back(profile);
+        store.recent.push(profile);
         seq
     })
 }

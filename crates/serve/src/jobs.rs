@@ -15,7 +15,7 @@
 //! the service exists.
 
 use dpr_capture::CaptureSession;
-use dpr_telemetry::{Registry, Sink, SpanRecord};
+use dpr_telemetry::{Registry, Ring, Sink, SpanRecord};
 use parking_lot::Mutex as PlMutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -126,7 +126,7 @@ impl std::fmt::Debug for Subscriber {
 }
 
 struct HubState {
-    history: VecDeque<JobEvent>,
+    history: Ring<JobEvent>,
     next_seq: u64,
     subscribers: Vec<Arc<SubChannel>>,
     ended: bool,
@@ -149,7 +149,7 @@ impl EventHub {
     pub fn new(registry: Arc<Registry>) -> EventHub {
         EventHub {
             state: Mutex::new(HubState {
-                history: VecDeque::new(),
+                history: Ring::new(EVENT_HISTORY),
                 next_seq: 0,
                 subscribers: Vec::new(),
                 ended: false,
@@ -173,10 +173,7 @@ impl EventHub {
             detail: detail.to_string(),
         };
         state.next_seq += 1;
-        state.history.push_back(event.clone());
-        while state.history.len() > EVENT_HISTORY {
-            state.history.pop_front();
-        }
+        state.history.push(event.clone());
         state
             .subscribers
             .retain(|channel| !channel.detached.load(Ordering::SeqCst));
@@ -439,7 +436,7 @@ struct Job {
 struct Inner {
     jobs: BTreeMap<u64, Job>,
     queue: VecDeque<u64>,
-    finished: VecDeque<u64>,
+    finished: Ring<u64>,
     next_id: u64,
     draining: bool,
 }
@@ -471,7 +468,6 @@ pub struct JobStore {
     inner: Mutex<Inner>,
     ready: Condvar,
     queue_capacity: usize,
-    jobs_kept: usize,
     registry: Arc<Registry>,
 }
 
@@ -488,13 +484,12 @@ impl JobStore {
             inner: Mutex::new(Inner {
                 jobs: BTreeMap::new(),
                 queue: VecDeque::new(),
-                finished: VecDeque::new(),
+                finished: Ring::new(jobs_kept),
                 next_id: 0,
                 draining: false,
             }),
             ready: Condvar::new(),
             queue_capacity: queue_capacity.max(1),
-            jobs_kept: jobs_kept.max(1),
             registry,
         }
     }
@@ -647,18 +642,11 @@ impl JobStore {
             job.phase = phase;
             Arc::clone(&job.events)
         });
-        inner.finished.push_back(id);
-        let mut evicted = 0;
-        while inner.finished.len() > self.jobs_kept {
-            if let Some(old) = inner.finished.pop_front() {
-                if inner.jobs.get(&old).is_some_and(|j| j.phase.finished()) {
-                    inner.jobs.remove(&old);
-                    evicted += 1;
-                }
+        if let Some(old) = inner.finished.push(id) {
+            if inner.jobs.get(&old).is_some_and(|j| j.phase.finished()) {
+                inner.jobs.remove(&old);
+                self.registry.counter("jobs.evicted").inc(1);
             }
-        }
-        if evicted > 0 {
-            self.registry.counter("jobs.evicted").inc(evicted);
         }
         events
     }

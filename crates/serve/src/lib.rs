@@ -47,7 +47,7 @@ pub use jobs::{
 pub use router::{ServiceHealth, ServiceRouter, SubmitResponse, SERVE_ROUTES};
 
 use dpr_obs::{shared_runs, shared_trace, HttpServer, ObsRouter, ServerConfig, SharedRuns, SharedTrace};
-use dpr_series::{Sampler, SeriesConfig};
+use dpr_obs::series::{service_slos, Sampler, SeriesConfig};
 use dpr_telemetry::Registry;
 use std::io;
 use std::net::SocketAddr;
@@ -162,7 +162,7 @@ impl AnalysisService {
             Sampler::start(
                 Arc::clone(&registry),
                 series_config,
-                dpr_series::service_slos(config.queue_capacity),
+                service_slos(config.queue_capacity),
             )
         });
         let mut obs = ObsRouter::new(Arc::clone(&registry), Arc::clone(&trace), Arc::clone(&runs));

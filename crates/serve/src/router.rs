@@ -21,7 +21,7 @@ use crate::jobs::{
 use crate::Analyzer;
 use dpr_capture::CaptureReader;
 use dpr_obs::http::{BodyReader, RequestHead};
-use dpr_obs::{Conn, HttpHandler, ObsRouter, OBS_ROUTES};
+use dpr_obs::{json_value, Conn, HttpHandler, ObsRouter, OBS_ROUTES};
 use dpr_telemetry::json::{self, Value};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -68,7 +68,7 @@ pub struct ServiceHealth {
     pub workers: Vec<WorkerReport>,
     /// Burn-rate grade of every service SLO (`ok`/`warn`/`burning`);
     /// empty when the service runs without a series sampler.
-    pub slos: Vec<dpr_series::SloStatus>,
+    pub slos: Vec<dpr_obs::series::SloStatus>,
 }
 
 /// What a successful `POST /jobs` returns.
@@ -166,9 +166,7 @@ impl ServiceRouter {
     }
 
     fn healthz(&self, conn: &mut Conn<'_>) -> io::Result<()> {
-        let body = json::to_string(&self.service_health())
-            .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-        conn.respond("200 OK", "application/json", &body)
+        conn.respond_json("200 OK", &self.service_health())
     }
 
     /// One JSON diagnostics bundle: service health, the jobs table,
@@ -177,34 +175,32 @@ impl ServiceRouter {
     /// in-memory log ring — everything a bug report needs, in one
     /// request.
     fn snapshot(&self, conn: &mut Conn<'_>) -> io::Result<()> {
-        fn or_err(out: Result<String, dpr_telemetry::json::Error>) -> String {
-            out.unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
-        }
-        let health = or_err(json::to_string(&self.service_health()));
-        let jobs = or_err(json::to_string(&self.store.statuses()));
-        let profile = or_err(json::to_string(&dpr_prof::snapshot()));
-        let metrics = or_err(json::to_string(&conn.registry().snapshot()));
         let series = match self.obs.series() {
-            Some(sampler) => or_err(json::to_string(&sampler.history())),
-            None => "null".to_string(),
+            Some(sampler) => json_value(&sampler.history()),
+            None => Value::Null,
         };
         let ring = dpr_log::logger().ring();
-        let records: Vec<String> = ring
+        // Records first: `pushed` only grows, so it never reads below
+        // the number of records listed.
+        let records = ring
             .snapshot()
             .iter()
-            .map(|entry| entry.record.to_json())
+            .map(|entry| entry.record.to_value())
             .collect();
-        let log = format!(
-            "{{\"pushed\":{},\"overwritten\":{},\"records\":[{}]}}",
-            ring.pushed(),
-            ring.overwritten(),
-            records.join(",")
-        );
-        let body = format!(
-            "{{\"health\":{health},\"jobs\":{jobs},\"profile\":{profile},\
-             \"metrics\":{metrics},\"series\":{series},\"log\":{log}}}"
-        );
-        conn.respond("200 OK", "application/json", &body)
+        let log = object([
+            ("pushed", Value::UInt(ring.pushed())),
+            ("overwritten", Value::UInt(ring.overwritten())),
+            ("records", Value::Array(records)),
+        ]);
+        let body = object([
+            ("health", json_value(&self.service_health())),
+            ("jobs", json_value(&self.store.statuses())),
+            ("profile", json_value(&dpr_prof::snapshot())),
+            ("metrics", json_value(&conn.registry().snapshot())),
+            ("series", series),
+            ("log", log),
+        ]);
+        conn.respond("200 OK", "application/json", &body.to_json())
     }
 
     /// Streams one job's events as chunked ndjson: the replay history,
@@ -224,8 +220,7 @@ impl ServiceRouter {
         loop {
             match subscriber.wait(EVENT_POLL) {
                 EventWait::Event(event) => {
-                    let mut line = json::to_string(&event)
-                        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
+                    let mut line = json_value(&event).to_json();
                     line.push('\n');
                     if conn.write_chunk(line.as_bytes()).is_err() {
                         // Client went away; nothing upstream to unwind.
@@ -304,9 +299,7 @@ impl ServiceRouter {
                     poll: format!("/jobs/{job}"),
                     job,
                 };
-                let body = json::to_string(&response)
-                    .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-                conn.respond("202 Accepted", "application/json", &body)
+                conn.respond_json("202 Accepted", &response)
             }
             // The queue filled while we read the body: same answer as
             // the pre-body check, the client just paid for the upload.
@@ -380,11 +373,7 @@ impl ServiceRouter {
 
     fn status(&self, external: &str, conn: &mut Conn<'_>) -> io::Result<()> {
         match self.store.status(external) {
-            Some(status) => {
-                let body =
-                    json::to_string(&status).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-                conn.respond("200 OK", "application/json", &body)
-            }
+            Some(status) => conn.respond_json("200 OK", &status),
             None => conn.respond(
                 "404 Not Found",
                 "text/plain",
@@ -394,9 +383,7 @@ impl ServiceRouter {
     }
 
     fn list(&self, conn: &mut Conn<'_>) -> io::Result<()> {
-        let body = json::to_string(&self.store.statuses())
-            .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-        conn.respond("200 OK", "application/json", &body)
+        conn.respond_json("200 OK", &self.store.statuses())
     }
 
     fn result(&self, external: &str, conn: &mut Conn<'_>) -> io::Result<()> {
@@ -426,16 +413,24 @@ impl ServiceRouter {
 /// The shared `429` answer: retriable, and carrying the request's
 /// correlation id so a shed submission is attributable in the logs.
 fn reject_full(conn: &mut Conn<'_>) -> io::Result<()> {
-    let body = format!(
-        "{{\"error\":\"job queue is full, retry shortly\",\"req_id\":\"{}\"}}\n",
-        conn.req_id()
-    );
+    let body = object([
+        (
+            "error",
+            Value::Str("job queue is full, retry shortly".to_string()),
+        ),
+        ("req_id", Value::Str(conn.req_id().to_string())),
+    ]);
     conn.respond_with(
         "429 Too Many Requests",
         "application/json",
         &["Retry-After: 1"],
-        &body,
+        &format!("{}\n", body.to_json()),
     )
+}
+
+/// A JSON object with its keys in the given order.
+fn object<const N: usize>(entries: [(&str, Value); N]) -> Value {
+    Value::Object(entries.map(|(k, v)| (k.to_string(), v)).into())
 }
 
 /// A parsed capture (or the reason it failed to parse); either way the

@@ -304,9 +304,14 @@ fn full_queue_answers_429_with_retry_after_before_reading_the_body() {
     let started = Instant::now();
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).unwrap();
-    let (head, _) = split_response(&String::from_utf8_lossy(&raw));
+    let (head, body) = split_response(&String::from_utf8_lossy(&raw));
     assert!(head.starts_with("HTTP/1.1 429"), "{head}");
     assert!(head.contains("Retry-After: 1"), "{head}");
+    let json::Value::Object(entries) = json::parse(body.trim()).expect("429 body parses") else {
+        panic!("429 body is not an object: {body}");
+    };
+    let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["error", "req_id"], "{body}");
     assert!(
         started.elapsed() < Duration::from_secs(2),
         "429 took {:?} — the server waited for body bytes",

@@ -12,29 +12,29 @@
 //!   lookup is a single `fetch_add`. [`Registry::snapshot`] freezes all of
 //!   them into plain serde-serializable maps.
 //! * **Sinks** ([`sink`]) — where span records go: an in-memory
-//!   [`sink::Collector`] for tests, a [`sink::JsonLines`] exporter, and a
+//!   [`sink::Collector`] for tests and short runs, plus whatever exporter
+//!   a consumer attaches (`dpr-obs`'s Chrome trace-event export), and a
 //!   human-readable summary table ([`summary::render`]).
 //! * **Traces** ([`trace`]) — [`trace::PipelineTrace`], the per-run report
 //!   the reverse-engineering pipeline attaches to its result: one entry per
 //!   stage with wall time and the counter activity attributed to it.
 //!
-//! # Scoping and the disabled mode
+//! It also holds [`Ring`], the one bounded history every observability
+//! crate keeps its recent records in.
+//!
+//! # Scoping
 //!
 //! Instrumented library code records against [`registry()`], which resolves
 //! to the innermost [`scoped`] registry on the current thread, falling back
 //! to a process-wide global. A pipeline run that wants exact attribution
 //! wraps itself in `scoped(fresh_registry, || ...)` so concurrent runs (or
 //! parallel tests) do not bleed into each other's numbers.
-//!
-//! Telemetry is on by default. [`set_enabled`]`(false)` turns the whole
-//! facade into no-ops — spans return inert guards and handle lookups return
-//! detached cells — which keeps instrumented hot loops at benchmark noise
-//! level (used by `crates/bench/benches/micro.rs`).
 
 #![forbid(unsafe_code)]
 
 pub mod json;
 pub mod metrics;
+pub mod ring;
 pub mod sink;
 pub mod span;
 pub mod summary;
@@ -44,29 +44,13 @@ pub use metrics::{
     defer_observations, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
     Observations, Registry,
 };
-pub use sink::{Collector, JsonLines, Sink, SpanLine, SpanRecord};
+pub use ring::Ring;
+pub use sink::{Collector, Sink, SpanRecord};
 pub use span::{thread_id, Span};
 pub use trace::{PipelineTrace, StageTrace, TraceBuilder};
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns the entire telemetry facade on or off process-wide.
-///
-/// While disabled, [`Span::enter`] returns an inert guard and the
-/// [`counter`]/[`gauge`]/[`histogram`] helpers return detached cells, so
-/// instrumented code runs at no-op cost. Returns the previous state.
-pub fn set_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Ordering::SeqCst)
-}
-
-/// Whether telemetry is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 fn global_registry() -> &'static Arc<Registry> {
     static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
@@ -119,30 +103,19 @@ pub fn scoped<R>(reg: Arc<Registry>, f: impl FnOnce() -> R) -> R {
 }
 
 /// Looks up (creating on first use) the named counter in the active
-/// registry. Returns a detached no-op cell while telemetry is disabled.
+/// registry.
 pub fn counter(name: &str) -> Counter {
-    if !enabled() {
-        return Counter::noop();
-    }
     registry().counter(name)
 }
 
 /// Looks up (creating on first use) the named gauge in the active registry.
-/// Returns a detached no-op cell while telemetry is disabled.
 pub fn gauge(name: &str) -> Gauge {
-    if !enabled() {
-        return Gauge::noop();
-    }
     registry().gauge(name)
 }
 
 /// Looks up (creating on first use) the named histogram in the active
-/// registry, with the default value buckets. Returns a detached no-op cell
-/// while telemetry is disabled.
+/// registry, with the default value buckets.
 pub fn histogram(name: &str) -> Histogram {
-    if !enabled() {
-        return Histogram::noop();
-    }
     registry().histogram(name)
 }
 
@@ -164,24 +137,5 @@ mod tests {
         assert!(!Arc::ptr_eq(&registry(), &inner));
         drop(outer);
         assert_eq!(inner.snapshot().counters.get("scoped.hits"), Some(&3));
-    }
-
-    #[test]
-    fn disabled_mode_is_inert() {
-        let reg = Arc::new(Registry::new());
-        scoped(Arc::clone(&reg), || {
-            let was = set_enabled(false);
-            counter("off.hits").inc(1);
-            gauge("off.level").set(9);
-            histogram("off.sizes").record(1.0);
-            {
-                let _span = Span::enter("off");
-            }
-            set_enabled(was);
-        });
-        let snap = reg.snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.gauges.is_empty());
-        assert!(snap.histograms.is_empty());
     }
 }

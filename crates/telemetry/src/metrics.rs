@@ -16,66 +16,44 @@ use std::time::{Duration, Instant};
 
 /// A monotonically increasing event count.
 ///
-/// Cloning shares the underlying cell. A `noop` counter has no cell and
-/// drops every increment — that is what the facade hands out while
-/// telemetry is disabled.
+/// Cloning shares the underlying cell.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
-    cell: Option<Arc<AtomicU64>>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
-    /// A detached counter that ignores all increments.
-    pub fn noop() -> Self {
-        Counter { cell: None }
-    }
-
-    /// Adds one.
+    /// Adds `n`.
     pub fn inc(&self, n: u64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current value (0 for a noop counter).
+    /// The current value.
     pub fn get(&self) -> u64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
 /// A value that can move both ways (e.g. an estimated alignment offset).
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
-    cell: Option<Arc<AtomicI64>>,
+    cell: Arc<AtomicI64>,
 }
 
 impl Gauge {
-    /// A detached gauge that ignores all updates.
-    pub fn noop() -> Self {
-        Gauge { cell: None }
-    }
-
     /// Sets the value.
     pub fn set(&self, v: i64) {
-        if let Some(cell) = &self.cell {
-            cell.store(v, Ordering::Relaxed);
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// Adds (or subtracts) a delta.
     pub fn add(&self, delta: i64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// The current value (0 for a noop gauge).
+    /// The current value.
     pub fn get(&self) -> i64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -93,17 +71,12 @@ struct HistogramCore {
 ///
 /// Cloning shares the underlying cells. Recording is two relaxed atomic
 /// adds plus a CAS loop for the running sum.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Histogram {
-    core: Option<Arc<HistogramCore>>,
+    core: Arc<HistogramCore>,
 }
 
 impl Histogram {
-    /// A detached histogram that ignores all observations.
-    pub fn noop() -> Self {
-        Histogram { core: None }
-    }
-
     /// The default value buckets: a 1–2–5 ladder from 1 to 1e9, suitable
     /// for byte sizes, row counts, and microsecond durations alike.
     pub fn default_bounds() -> Vec<f64> {
@@ -131,19 +104,19 @@ impl Histogram {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
         Histogram {
-            core: Some(Arc::new(HistogramCore {
+            core: Arc::new(HistogramCore {
                 bounds,
                 counts,
                 count: AtomicU64::new(0),
                 sum_bits: AtomicU64::new(0f64.to_bits()),
-            })),
+            }),
         }
     }
 
     /// Records one observation (or holds it back inside
     /// [`defer_observations`]).
     pub fn record(&self, v: f64) {
-        let Some(core) = &self.core else { return };
+        let core = &self.core;
         let deferred = DEFERRED.with(|stack| match stack.borrow_mut().last_mut() {
             Some(buffer) => {
                 buffer.0.push((Arc::clone(core), v));
@@ -163,18 +136,16 @@ impl Histogram {
 
     /// Freezes the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        match &self.core {
-            None => HistogramSnapshot::default(),
-            Some(core) => HistogramSnapshot {
-                bounds: core.bounds.clone(),
-                counts: core
-                    .counts
-                    .iter()
-                    .map(|c| c.load(Ordering::Relaxed))
-                    .collect(),
-                count: core.count.load(Ordering::Relaxed),
-                sum: f64::from_bits(core.sum_bits.load(Ordering::Relaxed)),
-            },
+        let core = &self.core;
+        HistogramSnapshot {
+            bounds: core.bounds.clone(),
+            counts: core
+                .counts
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect(),
+            count: core.count.load(Ordering::Relaxed),
+            sum: f64::from_bits(core.sum_bits.load(Ordering::Relaxed)),
         }
     }
 }
@@ -382,9 +353,7 @@ impl Registry {
             .write()
             .counters
             .entry(name.to_string())
-            .or_insert_with(|| Counter {
-                cell: Some(Arc::new(AtomicU64::new(0))),
-            })
+            .or_default()
             .clone()
     }
 
@@ -397,9 +366,7 @@ impl Registry {
             .write()
             .gauges
             .entry(name.to_string())
-            .or_insert_with(|| Gauge {
-                cell: Some(Arc::new(AtomicI64::new(0))),
-            })
+            .or_default()
             .clone()
     }
 

@@ -1,9 +1,8 @@
-//! Destinations for closed spans: an in-memory collector for tests and a
-//! JSON-lines exporter for offline analysis.
+//! Destinations for closed spans. This crate ships the in-memory
+//! [`Collector`]; file exporters (the Chrome trace-event export) live in
+//! `dpr-obs`.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::io::Write;
 use std::time::Duration;
 
 /// One closed span as delivered to sinks.
@@ -74,117 +73,5 @@ impl Collector {
 impl Sink for Collector {
     fn span_closed(&self, record: &SpanRecord) {
         self.records.lock().push(record.clone());
-    }
-}
-
-/// The serialized form of one JSON line emitted by [`JsonLines`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpanLine {
-    /// Record kind; always `"span"` for span records.
-    pub kind: String,
-    /// Dot-joined span path.
-    pub path: String,
-    /// Nesting depth (1 = top-level).
-    pub depth: u64,
-    /// Wall time in microseconds.
-    pub wall_us: u64,
-    /// Registry-epoch-relative start time in microseconds.
-    pub start_us: u64,
-    /// Stable id of the thread that ran the span.
-    pub tid: u64,
-}
-
-/// A sink writing one JSON object per closed span to any `Write`
-/// destination (a file, a `Vec<u8>`, stderr).
-pub struct JsonLines {
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl JsonLines {
-    /// Wraps a writer. Each span becomes one `\n`-terminated JSON object.
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
-        JsonLines {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Writes an arbitrary serializable record as one JSON line, e.g. a
-    /// final `MetricsSnapshot` or `PipelineTrace` after a run.
-    pub fn write_record<T: serde::Serialize>(&self, record: &T) -> std::io::Result<()> {
-        let line = crate::json::to_string(record)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut out = self.out.lock();
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")
-    }
-
-    /// Flushes the underlying writer.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.out.lock().flush()
-    }
-}
-
-impl Sink for JsonLines {
-    fn span_closed(&self, record: &SpanRecord) {
-        let line = SpanLine {
-            kind: "span".to_string(),
-            path: record.path.clone(),
-            depth: record.depth as u64,
-            wall_us: record.wall.as_micros() as u64,
-            start_us: record.start_us,
-            tid: record.tid,
-        };
-        let _ = self.write_record(&line);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    /// A shared growable buffer usable as a `Box<dyn Write + Send>` target.
-    #[derive(Clone, Default)]
-    pub(crate) struct SharedBuf(pub Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn json_lines_emits_one_object_per_span() {
-        let buf = SharedBuf::default();
-        let sink = JsonLines::new(Box::new(buf.clone()));
-        sink.span_closed(&SpanRecord {
-            name: "ocr",
-            path: "pipeline.ocr".into(),
-            depth: 2,
-            wall: Duration::from_micros(1500),
-            start_us: 10,
-            tid: 1,
-            thread: None,
-        });
-        sink.span_closed(&SpanRecord {
-            name: "gp",
-            path: "pipeline.gp".into(),
-            depth: 2,
-            wall: Duration::from_micros(250),
-            start_us: 1510,
-            tid: 1,
-            thread: None,
-        });
-        let text = String::from_utf8(buf.0.lock().clone()).expect("utf8");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first: SpanLine = crate::json::from_str(lines[0]).expect("parse");
-        assert_eq!(first.path, "pipeline.ocr");
-        assert_eq!(first.wall_us, 1500);
-        assert_eq!(first.depth, 2);
     }
 }

@@ -44,11 +44,6 @@ fn thread_identity() -> (u64, Option<String>) {
 #[must_use = "a span measures until dropped; binding it to _ closes it immediately"]
 #[derive(Debug)]
 pub struct Span {
-    state: Option<OpenSpan>,
-}
-
-#[derive(Debug)]
-struct OpenSpan {
     name: &'static str,
     path: String,
     depth: usize,
@@ -57,41 +52,29 @@ struct OpenSpan {
 
 impl Span {
     /// Opens a named span on the current thread.
-    ///
-    /// Returns an inert guard (no clock, no record) while telemetry is
-    /// disabled.
     pub fn enter(name: &'static str) -> Span {
-        if !crate::enabled() {
-            return Span { state: None };
-        }
         let (path, depth) = STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             stack.push(name);
             (stack.join("."), stack.len())
         });
         Span {
-            state: Some(OpenSpan {
-                name,
-                path,
-                depth,
-                started: Instant::now(),
-            }),
+            name,
+            path,
+            depth,
+            started: Instant::now(),
         }
     }
 
     /// The dot-joined path of this span, e.g. `pipeline.ocr`.
-    /// Empty for an inert guard.
     pub fn path(&self) -> &str {
-        self.state.as_ref().map_or("", |s| s.path.as_str())
+        &self.path
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(open) = self.state.take() else {
-            return;
-        };
-        let wall = open.started.elapsed();
+        let wall = self.started.elapsed();
         let registry = crate::registry();
         let torn = STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
@@ -99,7 +82,7 @@ impl Drop for Span {
             // inner guard leaked across threads, was forgotten, or guards
             // dropped out of order. The frame is left in place so the
             // remaining guards still pop their own names.
-            if stack.last() == Some(&open.name) {
+            if stack.last() == Some(&self.name) {
                 stack.pop();
                 false
             } else {
@@ -111,14 +94,14 @@ impl Drop for Span {
         }
         let (tid, thread) = thread_identity();
         registry
-            .histogram(&format!("span.{}", open.path))
+            .histogram(&format!("span.{}", self.path))
             .record_duration(wall);
         registry.notify_span(&SpanRecord {
-            name: open.name,
-            path: open.path,
-            depth: open.depth,
+            name: self.name,
+            path: std::mem::take(&mut self.path),
+            depth: self.depth,
             wall,
-            start_us: open
+            start_us: self
                 .started
                 .saturating_duration_since(registry.epoch())
                 .as_micros() as u64,

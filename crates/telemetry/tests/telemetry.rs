@@ -1,13 +1,10 @@
 //! Integration tests for the telemetry layer: the behaviours the rest of
 //! the workspace relies on, exercised through the public API only.
 
-use std::io::Write;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
 
 use dpr_telemetry::{
-    scoped, summary, Collector, Histogram, JsonLines, PipelineTrace, Registry, Sink, Span,
-    SpanLine, SpanRecord, TraceBuilder,
+    scoped, summary, Collector, Histogram, PipelineTrace, Registry, Span, TraceBuilder,
 };
 
 #[test]
@@ -103,53 +100,15 @@ fn concurrent_histogram_recording_is_consistent() {
     assert!((h.sum - (0..4000).map(f64::from).sum::<f64>()).abs() < 1e-6);
 }
 
-/// A growable buffer usable as a `Box<dyn Write + Send>` sink target.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 #[test]
-fn json_lines_round_trips_spans_and_traces() {
-    let buf = SharedBuf::default();
-    let sink = JsonLines::new(Box::new(buf.clone()));
-    sink.span_closed(&SpanRecord {
-        name: "ocr",
-        path: "pipeline.ocr".into(),
-        depth: 2,
-        wall: Duration::from_micros(1234),
-        start_us: 77,
-        tid: 3,
-        thread: Some("gp-worker-2".to_string()),
-    });
-
+fn pipeline_trace_round_trips_through_json() {
     let reg = Arc::new(Registry::new());
     reg.counter("ocr.readings_read").inc(42);
     let mut builder = TraceBuilder::new(Arc::clone(&reg));
     builder.stage("ocr", || reg.counter("ocr.readings_read").inc(8));
     let trace = builder.finish();
-    sink.write_record(&trace).expect("write trace line");
-
-    let text = String::from_utf8(buf.0.lock().unwrap().clone()).expect("utf8");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2);
-
-    let span: SpanLine = dpr_telemetry::json::from_str(lines[0]).expect("span line parses");
-    assert_eq!(span.kind, "span");
-    assert_eq!(span.path, "pipeline.ocr");
-    assert_eq!(span.wall_us, 1234);
-    assert_eq!(span.start_us, 77);
-    assert_eq!(span.tid, 3);
-
-    let parsed: PipelineTrace = dpr_telemetry::json::from_str(lines[1]).expect("trace parses");
+    let line = dpr_telemetry::json::to_string(&trace).expect("trace serializes");
+    let parsed: PipelineTrace = dpr_telemetry::json::from_str(&line).expect("trace parses");
     assert_eq!(parsed.stages.len(), 1);
     assert_eq!(parsed.stages[0].name, "ocr");
     assert_eq!(parsed.stages[0].counters["ocr.readings_read"], 8);

@@ -9,7 +9,7 @@
 //! the reverse-engineering pipeline inside a fresh telemetry scope, and
 //! prints three views of the same run: the live span log (via an
 //! in-memory collector), the per-stage trace table, and the full metric
-//! registry. A JSON-lines export of every span ends the tour.
+//! registry. The trace as JSON — what `GET /trace` serves — ends the tour.
 
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use dp_reverser::{DpReverser, PipelineConfig};
 use dpr_can::Micros;
 use dpr_cps::{collect_vehicle, CollectConfig};
 use dpr_frames::Scheme;
-use dpr_telemetry::{summary, Collector, JsonLines, Registry, Sink};
+use dpr_telemetry::{summary, Collector, Registry};
 use dpr_tool::{ToolProfile, ToolSession};
 use dpr_vehicle::profiles::{self, CarId};
 
@@ -74,14 +74,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     print!("{}", summary::render(&registry.snapshot()));
 
-    // 6. The same spans as JSON lines, the format experiment harnesses
-    //    stream to disk (see dpr-bench's DPR_TRACE_JSON).
-    let json = JsonLines::new(Box::new(std::io::stdout()));
-    println!("\nspans as JSON lines:");
-    for record in spans.records() {
-        json.span_closed(&record);
-    }
-    json.write_record(&result.trace)?;
+    // 6. The per-stage trace as JSON, the document a metrics server
+    //    serves at `GET /trace` (spans go to Perfetto through
+    //    `DPR_TRACE_EVENTS`).
+    println!("\ntrace as JSON:");
+    println!("{}", dpr_telemetry::json::to_string(&result.trace)?);
 
     println!(
         "\nrecovered {} ESVs ({} formulas) and {} control records",

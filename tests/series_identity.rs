@@ -13,7 +13,7 @@ use dp_reverser::{DpReverser, PipelineConfig, ReverseEngineeringResult};
 use dpr_can::Micros;
 use dpr_cps::{collect_vehicle, CollectConfig, CollectionReport};
 use dpr_frames::Scheme;
-use dpr_series::{Sampler, SeriesConfig};
+use dpr_obs::series::{Sampler, SeriesConfig};
 use dpr_telemetry::Registry;
 use dpr_tool::{ToolProfile, ToolSession};
 use dpr_vehicle::profiles::{self, CarId};
@@ -65,7 +65,7 @@ fn sampling_does_not_change_pipeline_output() {
                 interval: Duration::from_millis(10),
                 capacity: 512,
             },
-            dpr_series::service_slos(8),
+            dpr_obs::series::service_slos(8),
         );
         let on = dpr_telemetry::scoped(Arc::clone(&on_registry), || analyze(seed, &report));
         sampler.force_tick();
