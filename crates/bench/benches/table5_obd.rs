@@ -5,104 +5,36 @@
 //! recovers all 7 PID formulas (100% precision), including the degenerate
 //! cases: Engine Speed's `X1 ≡ 128` collapses `(256·X0+X1)/4` to
 //! `64·X0 + 32`, and the coolant formula is recovered as a
-//! range-equivalent variant.
+//! range-equivalent variant. The rows come from
+//! [`dpr_bench::accuracy::obd_pids`], the same producer
+//! `dpr-bench accuracy` gates.
 
-use dp_reverser::{DpReverser, PipelineConfig, RecoveredKind};
-use dpr_bench::{header, pct, quick, EXPERIMENT_SEED};
-use dpr_can::Micros;
-use dpr_frames::{Scheme, SourceKey};
-use dpr_ocr::OcrChannel;
-use dpr_protocol::obd::{self, Pid};
-use dpr_tool::database::obd_database;
-use dpr_tool::{ToolProfile, ToolSession};
-use dpr_vehicle::profiles::{self, CarId};
+use dpr_bench::{accuracy, header, pct};
 
 fn main() {
     header(
         "Table 5: reverse engineering the OBD-II protocol formulas",
         "7/7 PID formulas recovered correctly (100%)",
     );
-    let seed = EXPERIMENT_SEED;
-    // The "vehicle simulator" is a car profile's engine ECU; the app is
-    // the ChevroSys profile with the OBD database.
-    let car = profiles::build(CarId::L, seed);
-    let (req, rsp) = car.obd_ids().expect("profile cars expose OBD-II");
-    let db = obd_database("Vehicle Simulator", req, rsp);
-    let mut session = ToolSession::with_database(car, ToolProfile::chevrosys_app(), db);
-    session.tool_mut().goto_data_stream(0, 0);
-    let dwell = if quick() { 20 } else { 60 };
-    session.wait(Micros::from_secs(dwell)).expect("session runs");
-    let (log, frames, _) = session.into_artifacts();
-
-    let mut config = if quick() {
-        PipelineConfig::fast(Scheme::IsoTp, seed)
-    } else {
-        PipelineConfig::paper(Scheme::IsoTp, seed)
-    };
-    config.ocr = OcrChannel::new(ToolProfile::chevrosys_app().ocr_quality, seed);
-    let result = DpReverser::new(config).analyze(&log, &frames, None);
-
-    // Ground truth: the app's display formulas (standard formula × the
-    // app's unit choice).
-    type Truth = (u8, &'static str, Box<dyn Fn(f64, f64) -> f64>);
-    let app_truth: &[Truth] = &[
-        (0x11, "Y = X/2.55", Box::new(|a, _| a * 100.0 / 255.0)),
-        (0x04, "Y = X/2.55", Box::new(|a, _| a * 100.0 / 255.0)),
-        (0x2F, "Y = 0.392*X", Box::new(|a, _| 0.392 * a)),
-        // The simulated (and real) capture pins the RPM low byte at
-        // X1 = 128, so the ground-truth formula collapses to
-        // Y = 64*X0 + 32 — exactly the recovery the paper accepts.
-        (0x0C, "Y = (256*X0+X1)/4", Box::new(|a, _| 64.0 * a + 32.0)),
-        (0x0D, "Y = 0.621*X", Box::new(|a, _| 0.621 * a)),
-        (0x05, "Y = 1.8*X - 40", Box::new(|a, _| 1.8 * a - 40.0)),
-        (0x0B, "Y = X/3.39", Box::new(|a, _| a / 3.39)),
-    ];
-
     println!(
         "{:36} {:8} {:22} {:4}",
         "ESV", "request", "ground truth", "recovered (GP)"
     );
-    let mut correct = 0;
-    let total = app_truth.len();
-    for (pid, truth_str, truth) in app_truth {
-        let spec = obd::pid_spec(Pid(*pid)).expect("standard pid");
-        let Some(esv) = result.esvs.iter().find(|e| e.key == SourceKey::Obd(*pid)) else {
-            println!(
-                "{:36} 01 {:02X}    {:22} NOT RECOVERED",
-                spec.quantity.name(),
-                pid,
-                truth_str
-            );
-            continue;
-        };
-        let RecoveredKind::Formula(model) = &esv.kind else {
-            println!(
-                "{:36} 01 {:02X}    {:22} misclassified as enumeration",
-                spec.quantity.name(),
-                pid,
-                truth_str
-            );
-            continue;
-        };
-        let ok = model.agrees_with(
-            |x| truth(x[0], x.get(1).copied().unwrap_or(0.0)),
-            &esv.x_ranges,
-            0.04,
-        );
-        if ok {
-            correct += 1;
-        }
+    let rows = accuracy::obd_pids();
+    for row in &rows {
         println!(
-            "{:36} 01 {:02X}    {:22} {} [{}]",
-            spec.quantity.name(),
-            pid,
-            truth_str,
-            model.describe(),
-            if ok { "OK" } else { "MISMATCH" }
+            "{:36} 01 {:4}  {:22} {} [{}]",
+            row.name,
+            &row.pid[2..],
+            row.truth,
+            row.recovered,
+            if row.correct { "OK" } else { "MISMATCH" }
         );
     }
+    let correct = rows.iter().filter(|r| r.correct).count();
     println!(
-        "\nprecision: {correct}/{total} = {} (paper: 7/7 = 100%)",
-        pct(correct, total)
+        "\nprecision: {correct}/{} = {} (paper: 7/7 = 100%)",
+        rows.len(),
+        pct(correct, rows.len())
     );
 }

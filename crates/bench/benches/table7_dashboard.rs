@@ -3,89 +3,34 @@
 //! Paper: on four real cars the values computed with the inferred
 //! formulas match the dashboard displays. Car F: `Y = X`; Car K:
 //! `Y = X0·X1/5`; Car L: `Y = 0.5·X`; Car R: `Y = 64.1·X0 + 0.241·X1`.
+//! The verdicts come from [`dpr_bench::accuracy`], the same producer
+//! `dpr-bench accuracy` gates.
 
-use dp_reverser::RecoveredKind;
-use dpr_bench::{analyze, collect_car, header, quick, EXPERIMENT_SEED};
-use dpr_frames::SourceKey;
-use dpr_vehicle::ecu::EsvId;
-use dpr_vehicle::profiles::CarId;
-
-fn source_key_for(id: EsvId) -> SourceKey {
-    match id {
-        EsvId::Uds(did) => SourceKey::UdsDid(did.0),
-        EsvId::Kwp { local_id, slot } => SourceKey::Kwp {
-            local_id: local_id.0,
-            slot,
-        },
-    }
-}
+use dpr_bench::accuracy::{self, TAB7_CARS};
+use dpr_bench::header;
 
 fn main() {
     header(
         "Table 7: dashboard validation of inferred formulas",
         "four cars; every inferred formula matches the dashboard (all check marks)",
     );
-    let read_secs = if quick() { 4 } else { 10 };
     println!(
         "{:8} {:26} {:52} {:>5}",
         "vehicle", "ESV on dashboard", "formula (GP) system output", "same?"
     );
-    let cases = [
-        (CarId::F, "Y = X"),
-        (CarId::K, "Y = X0*X1/5"),
-        (CarId::L, "Y = 0.5X"),
-        (CarId::R, "Y = 64.1X0 + 0.241X1"),
-    ];
+    let paper_formulas = ["Y = X", "Y = X0*X1/5", "Y = 0.5X", "Y = 64.1X0 + 0.241X1"];
     let mut matched = 0;
-    for (id, paper_formula) in cases {
-        let seed = EXPERIMENT_SEED ^ (id as u64 + 1);
-        let report = collect_car(id, seed, read_secs);
-        let result = analyze(id, seed, &report);
-
-        let dash = report.vehicle.dashboard()[0].clone();
-        let key = source_key_for(dash.id);
-        let Some(esv) = result.esvs.iter().find(|e| e.key == key) else {
-            println!("{:8} {:26} NOT RECOVERED", format!("{id}"), dash.label);
-            continue;
-        };
-        // The dashboard shows the true sensor value; the recovered rule
-        // applied to the raw traffic must reproduce it — i.e. numeric
-        // agreement with the hidden formula over the observed raw range.
-        let truth = report
-            .vehicle
-            .esv_points()
-            .iter()
-            .find(|p| p.id == dash.id)
-            .expect("dashboard point exists")
-            .formula;
-        let (ok, shown) = match &esv.kind {
-            RecoveredKind::Formula(model) => (
-                model.agrees_with(
-                    |x| truth.eval(x[0], x.get(1).copied().unwrap_or(0.0)),
-                    &esv.x_ranges,
-                    0.04,
-                ),
-                model.describe(),
-            ),
-            RecoveredKind::Enumeration => {
-                // Enumeration = identity; correct exactly for Car F.
-                let (lo, hi) = esv.x_ranges[0];
-                let id_ok = (0..8).all(|i| {
-                    let x = lo + (hi - lo) * f64::from(i) / 7.0;
-                    (truth.eval(x, 0.0) - x).abs() <= 0.04 * x.abs().max(1.0)
-                });
-                (id_ok, "Y = X (identity/enumeration)".to_string())
-            }
-        };
-        if ok {
+    for (car, paper_formula) in accuracy::cars(&TAB7_CARS).into_iter().zip(paper_formulas) {
+        let dash = car.dashboard.expect("Tab. 7 cars have a dashboard signal");
+        if dash.validated {
             matched += 1;
         }
         println!(
             "{:8} {:26} {:52} {:>5}   (paper: {paper_formula})",
-            format!("{id}"),
+            dash.car,
             dash.label,
-            shown,
-            if ok { "YES" } else { "NO" }
+            dash.recovered,
+            if dash.validated { "YES" } else { "NO" }
         );
     }
     println!("\nshape check: {matched}/4 dashboard formulas validated (paper: 4/4)");

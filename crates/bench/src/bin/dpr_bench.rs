@@ -10,6 +10,7 @@
 //! cargo run --release -p dpr-bench --bin dpr-bench -- serve-load --clients 8
 //! cargo run --release -p dpr-bench --bin dpr-bench -- top 127.0.0.1:8080 --interval 2
 //! cargo run --release -p dpr-bench --bin dpr-bench -- analyze /tmp/m.dprcap --json
+//! cargo run --release -p dpr-bench --bin dpr-bench -- accuracy --out BENCH_accuracy.json
 //! ```
 //!
 //! `profile` runs the pipeline on one car (live, by Tab. 3 letter) or on
@@ -19,7 +20,8 @@
 //! `BENCH_*.json` snapshots and exits non-zero when a gated metric
 //! regressed beyond the tolerance. `fleet` collects and analyzes
 //! several cars under one registry. `scale` sweeps a fan-out of whole
-//! GP fits across pool sizes and writes `BENCH_scale.json`. All honor
+//! GP fits across pool sizes and writes `BENCH_scale.json`. `accuracy`
+//! writes the exact Tab. 5, 6 and 7 counts to `BENCH_accuracy.json`. All honor
 //! `DPR_TRACE_EVENTS=<path.json>` (Chrome trace-event export) and the
 //! run subcommands honor `DPR_METRICS_ADDR=<addr>` (live Prometheus
 //! scrape endpoint).
@@ -55,6 +57,7 @@ fn usage() -> ExitCode {
     eprintln!("       dpr-bench snapshot <ip:port> [--raw] [--watch <secs>]");
     eprintln!("       dpr-bench top <ip:port> [--interval <secs>] [--once]");
     eprintln!("       dpr-bench analyze <capture.dprcap> [--json]");
+    eprintln!("       dpr-bench accuracy [--out <BENCH_accuracy.json>]");
     ExitCode::from(2)
 }
 
@@ -71,6 +74,7 @@ fn main() -> ExitCode {
         Some("snapshot") => snapshot_cmd(&args[1..]),
         Some("top") => top_cmd(&args[1..]),
         Some("analyze") => analyze_capture_cmd(&args[1..]),
+        Some("accuracy") => accuracy_cmd(&args[1..]),
         _ => usage(),
     }
 }
@@ -670,6 +674,28 @@ fn analyze_capture_cmd(args: &[String]) -> ExitCode {
     } else {
         print_trace(&result);
     }
+    ExitCode::SUCCESS
+}
+
+// ———————————————————————————— accuracy ————————————————————————————
+
+/// `accuracy`: runs the GP-dependent paper tables (Tab. 5, 6, 7) and
+/// writes their exact counts to `BENCH_accuracy.json`, which CI diffs
+/// against the checked-in baseline at zero slack.
+fn accuracy_cmd(args: &[String]) -> ExitCode {
+    let mut args = args.to_vec();
+    let out_path = take_flag(&mut args, "--out").unwrap_or_else(|| {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_accuracy.json").to_string()
+    });
+    println!("accuracy: Tab. 5, 6 and 7, seed {EXPERIMENT_SEED}, quick {}…", quick());
+    let run = dpr_bench::accuracy::run();
+    let json = dpr_bench::accuracy::accuracy_json(&run);
+    print!("{json}");
+    if let Err(e) = std::fs::write(&out_path, json) {
+        eprintln!("error: writing {out_path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    println!("wrote {out_path}");
     ExitCode::SUCCESS
 }
 
