@@ -15,6 +15,8 @@
 //! while still exercising the paper's "strip the first byte and
 //! concatenate" code path.
 
+use std::collections::VecDeque;
+
 use dpr_can::{CanFrame, CanId, Micros};
 
 use crate::{Endpoint, OutgoingFrame, TransportError};
@@ -126,7 +128,7 @@ impl Endpoint for BmwRawEndpoint {
 pub struct BmwStreamDecoder {
     buf: Vec<u8>,
     expected: Option<usize>,
-    complete: Vec<Vec<u8>>,
+    complete: VecDeque<Vec<u8>>,
 }
 
 impl BmwStreamDecoder {
@@ -158,7 +160,7 @@ impl BmwStreamDecoder {
                     self.buf.extend_from_slice(&chunk[..take]);
                     chunk = &chunk[take..];
                     if self.buf.len() == len {
-                        self.complete.push(std::mem::take(&mut self.buf));
+                        self.complete.push_back(std::mem::take(&mut self.buf));
                         self.expected = None;
                         // Anything after the message in this frame is
                         // padding; stop scanning the chunk.
@@ -171,16 +173,12 @@ impl BmwStreamDecoder {
 
     /// Pops the next completed payload.
     pub fn pop(&mut self) -> Option<Vec<u8>> {
-        if self.complete.is_empty() {
-            None
-        } else {
-            Some(self.complete.remove(0))
-        }
+        self.complete.pop_front()
     }
 
     /// Drains all completed payloads.
     pub fn drain(&mut self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.complete)
+        self.complete.drain(..).collect()
     }
 
     /// Whether a message is partially assembled.

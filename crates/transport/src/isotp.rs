@@ -6,6 +6,8 @@
 //! an offline [`IsoTpStreamDecoder`] that reassembles payloads from a
 //! sniffed capture (the paper's "Step 2: Assembling Payload").
 
+use std::collections::VecDeque;
+
 use dpr_can::{CanFrame, CanId, Micros};
 use serde::{Deserialize, Serialize};
 
@@ -612,7 +614,7 @@ impl Endpoint for IsoTpEndpoint {
 #[derive(Debug, Default)]
 pub struct IsoTpStreamDecoder {
     state: Option<(usize, Vec<u8>, u8)>,
-    complete: Vec<Vec<u8>>,
+    complete: VecDeque<Vec<u8>>,
 }
 
 impl IsoTpStreamDecoder {
@@ -640,7 +642,7 @@ impl IsoTpStreamDecoder {
                 }
                 dpr_telemetry::counter("transport.isotp.reassembled").inc(1);
                 dpr_telemetry::histogram("transport.isotp.sdu_bytes").record(data.len() as f64);
-                self.complete.push(data);
+                self.complete.push_back(data);
             }
             IsoTpFrame::First { total_len, data } => {
                 if self.state.is_some() {
@@ -662,7 +664,7 @@ impl IsoTpStreamDecoder {
                         dpr_telemetry::counter("transport.isotp.reassembled").inc(1);
                         dpr_telemetry::histogram("transport.isotp.sdu_bytes")
                             .record(buf.len() as f64);
-                        self.complete.push(buf);
+                        self.complete.push_back(buf);
                     } else {
                         self.state = Some((total, buf, (seq + 1) & 0x0F));
                     }
@@ -674,16 +676,12 @@ impl IsoTpStreamDecoder {
 
     /// Pops the next completed payload.
     pub fn pop(&mut self) -> Option<Vec<u8>> {
-        if self.complete.is_empty() {
-            None
-        } else {
-            Some(self.complete.remove(0))
-        }
+        self.complete.pop_front()
     }
 
     /// Drains all completed payloads.
     pub fn drain(&mut self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.complete)
+        self.complete.drain(..).collect()
     }
 
     /// Whether a multi-frame message is partially assembled.

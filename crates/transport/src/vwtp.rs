@@ -19,6 +19,8 @@
 //! [`VwTpStreamDecoder`] here implements exactly the opcode-driven
 //! reassembly the paper describes.
 
+use std::collections::VecDeque;
+
 use dpr_can::{CanFrame, CanId, Micros};
 use serde::{Deserialize, Serialize};
 
@@ -405,10 +407,18 @@ impl Endpoint for VwTpEndpoint {
 /// frames do not contain the data length fields. We check their opcodes to
 /// determine if the current frame is the last frame or not."* Non-data
 /// frames are ignored (screening removes them anyway).
+///
+/// With no length field, a stream of "more follows" frames never ends a
+/// message. A message that would grow past [`MAX_VWTP_PAYLOAD`] (the cap
+/// the live endpoint enforces) is dropped: the buffer is cleared, one
+/// `transport.vwtp.reject.overflow` is counted, and the rest of that
+/// message, up to its last frame, is discarded.
 #[derive(Debug, Default)]
 pub struct VwTpStreamDecoder {
     assembling: Vec<u8>,
-    complete: Vec<Vec<u8>>,
+    /// Discarding the remainder of an over-long message.
+    overflowed: bool,
+    complete: VecDeque<Vec<u8>>,
 }
 
 impl VwTpStreamDecoder {
@@ -429,32 +439,39 @@ impl VwTpStreamDecoder {
         if !op.is_data() {
             return;
         }
-        self.assembling.extend_from_slice(&data[1..]);
+        if self.overflowed {
+            self.overflowed = !op.is_last();
+            return;
+        }
+        let chunk = &data[1..];
+        if self.assembling.len() + chunk.len() > MAX_VWTP_PAYLOAD {
+            self.assembling.clear();
+            crate::reject("vwtp", "overflow");
+            self.overflowed = !op.is_last();
+            return;
+        }
+        self.assembling.extend_from_slice(chunk);
         if op.is_last() {
             dpr_telemetry::counter("transport.vwtp.reassembled").inc(1);
             dpr_telemetry::histogram("transport.vwtp.sdu_bytes").record(self.assembling.len() as f64);
-            self.complete.push(std::mem::take(&mut self.assembling));
+            self.complete.push_back(std::mem::take(&mut self.assembling));
         }
     }
 
     /// Pops the next completed payload.
     pub fn pop(&mut self) -> Option<Vec<u8>> {
-        if self.complete.is_empty() {
-            None
-        } else {
-            Some(self.complete.remove(0))
-        }
+        self.complete.pop_front()
     }
 
     /// Drains all completed payloads.
     pub fn drain(&mut self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.complete)
+        self.complete.drain(..).collect()
     }
 
     /// Whether the decoder holds a partial message ("needs to wait for the
     /// next frames" in the paper's Tab. 9 terminology).
     pub fn in_progress(&self) -> bool {
-        !self.assembling.is_empty()
+        !self.assembling.is_empty() || self.overflowed
     }
 }
 
@@ -571,6 +588,30 @@ mod tests {
         decoder.push(&[0x91]); // ack
         decoder.push(&[0x30, 0xDE, 0xAD]); // data last, no ack
         assert_eq!(decoder.pop(), Some(vec![0xDE, 0xAD]));
+    }
+
+    #[test]
+    fn stream_decoder_bounds_a_more_follows_flood() {
+        let registry = std::sync::Arc::new(dpr_telemetry::Registry::new());
+        let popped = dpr_telemetry::scoped(std::sync::Arc::clone(&registry), || {
+            let mut decoder = VwTpStreamDecoder::new();
+            // 20 000 "more follows" frames of 7 bytes: 140 kB, never ended
+            // by a length field, then the flooded message's last frame.
+            for seq in 0..20_000u32 {
+                decoder.push(&[0x20 | (seq & 0x0F) as u8, 1, 2, 3, 4, 5, 6, 7]);
+                assert!(decoder.assembling.len() <= MAX_VWTP_PAYLOAD);
+            }
+            decoder.push(&[0x30, 8]);
+            assert!(decoder.pop().is_none(), "the flooded message is dropped");
+            assert!(!decoder.in_progress());
+            // The next clean message reassembles untouched.
+            decoder.push(&[0x20, 0x61, 0x01]);
+            decoder.push(&[0x31, 0x2A]);
+            decoder.pop()
+        });
+        assert_eq!(popped, Some(vec![0x61, 0x01, 0x2A]));
+        let counters = registry.snapshot().counters;
+        assert_eq!(counters.get("transport.vwtp.reject.overflow"), Some(&1));
     }
 
     #[test]
