@@ -16,7 +16,10 @@ use dpr_baselines::{LinearRegression, PolynomialFit, Regressor};
 use dpr_can::Micros;
 use dpr_cps::{plan_route, PlanStrategy};
 use dpr_gp::expr::{BinaryOp, Expr, UnaryOp};
-use dpr_gp::{BatchScratch, Columns, CompiledExpr, Dataset, GpConfig, Metric, SymbolicRegressor};
+use dpr_gp::{
+    genome, BatchScratch, Columns, CompiledExpr, Dataset, FunctionSet, GpConfig, Metric, Node,
+    SymbolicRegressor,
+};
 use dpr_ocr::{mad_inliers, OcrChannel};
 use dpr_transport::isotp::IsoTpStreamDecoder;
 use rand::rngs::StdRng;
@@ -47,21 +50,24 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` random grow genomes over `functions`, seeded.
+fn grow_genomes(seed: u64, n: usize, depth: usize, functions: &FunctionSet) -> Vec<Vec<Node>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let mut nodes = Vec::new();
+            genome::random(&mut rng, depth, false, 2, functions, (-10.0, 10.0), &mut nodes);
+            nodes
+        })
+        .collect()
+}
+
 /// A GP-typical population: random grow trees over the full 14-function
 /// set, the shapes the engine actually scores every generation.
 fn gp_population(n: usize, depth: usize) -> Vec<Expr> {
-    let mut rng = StdRng::seed_from_u64(2023);
-    (0..n)
-        .map(|_| {
-            Expr::random_grow(
-                &mut rng,
-                depth,
-                2,
-                &UnaryOp::ALL,
-                &BinaryOp::ALL,
-                (-10.0, 10.0),
-            )
-        })
+    grow_genomes(2023, n, depth, &FunctionSet::full())
+        .iter()
+        .map(|g| Expr::from_nodes(g))
         .collect()
 }
 
@@ -69,6 +75,7 @@ fn bench_compiled_eval(c: &mut Criterion) {
     let data = gp_dataset();
     let cols = Columns::from_dataset(&data);
     let pop = gp_population(64, 6);
+    let genomes: Vec<Vec<Node>> = pop.iter().map(Expr::to_nodes).collect();
     let metric = Metric::MeanAbsoluteError;
 
     let mut group = c.benchmark_group("gp_scoring");
@@ -83,8 +90,9 @@ fn bench_compiled_eval(c: &mut Criterion) {
     group.bench_function("compiled_bytecode", |b| {
         let mut scratch = BatchScratch::new();
         b.iter(|| {
-            pop.iter()
-                .map(|e| CompiledExpr::compile(black_box(e)).error_on(&cols, metric, &mut scratch))
+            genomes
+                .iter()
+                .map(|g| CompiledExpr::compile(black_box(g)).error_on(&cols, metric, &mut scratch))
                 .sum::<f64>()
         })
     });
@@ -95,9 +103,9 @@ fn bench_compiled_eval(c: &mut Criterion) {
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
-                pool.par_map(&pop, |e| {
+                pool.par_map(&genomes, |g| {
                     dpr_gp::compile::with_thread_scratch(|scratch| {
-                        CompiledExpr::compile(e).error_on(&cols, metric, scratch)
+                        CompiledExpr::compile(g).error_on(&cols, metric, scratch)
                     })
                 })
             })
@@ -136,6 +144,7 @@ fn emit_gp_json(_c: &mut Criterion) {
     let data = gp_dataset();
     let cols = Columns::from_dataset(&data);
     let pop = gp_population(if quick { 32 } else { 128 }, 6);
+    let genomes: Vec<Vec<Node>> = pop.iter().map(Expr::to_nodes).collect();
     let metric = Metric::MeanAbsoluteError;
     let evals_per_pass = (pop.len() * data.len()) as f64;
     let rate = |(passes, elapsed): (u32, Duration)| {
@@ -152,17 +161,18 @@ fn emit_gp_json(_c: &mut Criterion) {
     let mut scratch = BatchScratch::new();
     let compiled = rate(time_passes(min, || {
         black_box(
-            pop.iter()
-                .map(|e| CompiledExpr::compile(e).error_on(&cols, metric, &mut scratch))
+            genomes
+                .iter()
+                .map(|g| CompiledExpr::compile(g).error_on(&cols, metric, &mut scratch))
                 .sum::<f64>(),
         );
     }));
     let n_threads = dpr_par::threads().max(2);
     let score_with = |pool: &dpr_par::Pool| {
         rate(time_passes(min, || {
-            black_box(pool.par_map(&pop, |e| {
+            black_box(pool.par_map(&genomes, |g| {
                 dpr_gp::compile::with_thread_scratch(|scratch| {
-                    CompiledExpr::compile(e).error_on(&cols, metric, scratch)
+                    CompiledExpr::compile(g).error_on(&cols, metric, scratch)
                 })
             }));
         }))
@@ -170,81 +180,40 @@ fn emit_gp_json(_c: &mut Criterion) {
     let par1 = score_with(&dpr_par::Pool::new(1));
     let parn = score_with(&dpr_par::Pool::new(n_threads));
 
-    // Superinstruction speedup: the same precompiled programs with and
-    // without peephole fusion, scored single-threaded so the ratio
-    // isolates the interpreter loop (no compile or dispatch cost).
-    // Measured on formula-shaped arithmetic programs — the affine and
-    // product expressions diagnostic formulas actually take (Tab. 2
-    // recovers shapes like `64·X0 + 0.25·X1`), where leaf-adjacent
-    // fusion covers most of each program; the full 14-function
-    // population above understates the win because transcendental
-    // evaluation, not dispatch, dominates its runtime.
-    let mut rng = StdRng::seed_from_u64(7);
-    let formula_pop: Vec<Expr> = (0..pop.len())
-        .map(|_| {
-            Expr::random_grow(
-                &mut rng,
-                6,
-                2,
-                &[UnaryOp::Neg],
-                &[BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div],
-                (-10.0, 10.0),
-            )
-        })
-        .collect();
-    let fused: Vec<CompiledExpr> = formula_pop.iter().map(CompiledExpr::compile).collect();
-    let unfused: Vec<CompiledExpr> = formula_pop
-        .iter()
-        .map(CompiledExpr::compile_unfused)
-        .collect();
-    // Best of three windows per side: the max filters scheduler noise,
-    // which otherwise dwarfs a dispatch-level difference.
-    let score_programs = |programs: &[CompiledExpr]| {
-        (0..3)
-            .map(|_| {
-                rate(time_passes(min, || {
-                    black_box(
-                        programs
-                            .iter()
-                            .map(|p| {
-                                dpr_gp::compile::with_thread_scratch(|scratch| {
-                                    p.error_on(&cols, metric, scratch)
-                                })
-                            })
-                            .sum::<f64>(),
-                    );
-                }))
-            })
-            .fold(0.0f64, f64::max)
-    };
-    let unfused_rate = score_programs(&unfused);
-    let fused_rate = score_programs(&fused);
-
     // Dedup speedup on a population with a 50% duplicate share — the
     // regime breeding actually produces (clone-heavy late generations).
-    // The dedup side pays for grouping inside the timed pass, so the
-    // ratio is honest about bookkeeping overhead.
+    // Measured on formula-shaped arithmetic genomes — the affine and
+    // product expressions diagnostic formulas actually take (Tab. 2
+    // recovers shapes like `64·X0 + 0.25·X1`). Both sides start from
+    // genomes and score single-threaded: without dedup every genome is
+    // compiled and scored; with dedup the timed pass also pays for
+    // grouping the slices, then compiles and scores one representative
+    // per class, so the ratio is honest about bookkeeping overhead.
+    let arithmetic = FunctionSet {
+        unary: vec![UnaryOp::Neg],
+        binary: vec![BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div],
+    };
+    let formula_pop = grow_genomes(7, pop.len(), 6, &arithmetic);
     let dup_share = 0.5;
-    let duplicated: Vec<CompiledExpr> = (0..fused.len() * 2)
-        .map(|i| fused[i % fused.len()].clone())
+    let duplicated: Vec<&[Node]> = formula_pop
+        .iter()
+        .chain(&formula_pop)
+        .map(Vec::as_slice)
         .collect();
     let dup_evals = (duplicated.len() * data.len()) as f64;
     let dup_rate = |(passes, elapsed): (u32, Duration)| {
         dup_evals * f64::from(passes) / elapsed.as_secs_f64()
     };
+    let score = |genome: &[Node]| {
+        dpr_gp::compile::with_thread_scratch(|scratch| {
+            CompiledExpr::compile(genome).error_on(&cols, metric, scratch)
+        })
+    };
+    // Best of three windows per side: the max filters scheduler noise.
     let no_dedup = (0..3)
         .map(|_| {
             dup_rate(time_passes(min, || {
-                black_box(
-                    duplicated
-                        .iter()
-                        .map(|p| {
-                            dpr_gp::compile::with_thread_scratch(|scratch| {
-                                p.error_on(&cols, metric, scratch)
-                            })
-                        })
-                        .sum::<f64>(),
-                );
+                black_box(duplicated.iter().map(|g| score(g)).sum::<f64>());
             }))
         })
         .fold(0.0f64, f64::max);
@@ -252,15 +221,8 @@ fn emit_gp_json(_c: &mut Criterion) {
         .map(|_| {
             dup_rate(time_passes(min, || {
                 let groups = dpr_gp::dedup::group(&duplicated);
-                let rep_errors: Vec<f64> = groups
-                    .reps
-                    .iter()
-                    .map(|&r| {
-                        dpr_gp::compile::with_thread_scratch(|scratch| {
-                            duplicated[r].error_on(&cols, metric, scratch)
-                        })
-                    })
-                    .collect();
+                let rep_errors: Vec<f64> =
+                    groups.reps.iter().map(|&r| score(duplicated[r])).collect();
                 black_box(
                     groups
                         .assign
@@ -286,7 +248,6 @@ fn emit_gp_json(_c: &mut Criterion) {
             "  \"pool_1_thread_evals_per_sec\": {par1:.0},\n",
             "  \"pool_n_threads_evals_per_sec\": {parn:.0},\n",
             "  \"thread_speedup\": {ts:.2},\n",
-            "  \"superinstruction_speedup\": {ss:.2},\n",
             "  \"dedup_duplicate_share\": {ds:.2},\n",
             "  \"dedup_speedup\": {dds:.2}\n",
             "}}\n"
@@ -301,7 +262,6 @@ fn emit_gp_json(_c: &mut Criterion) {
         par1 = par1,
         parn = parn,
         ts = parn / par1,
-        ss = fused_rate / unfused_rate,
         ds = dup_share,
         dds = with_dedup / no_dedup,
     );
@@ -311,10 +271,9 @@ fn emit_gp_json(_c: &mut Criterion) {
     std::fs::write(&path, &json).expect("write BENCH_gp.json");
     println!(
         "gp scoring: compiled {:.1}x vs recursive, {n_threads}-thread pool {:.2}x vs 1, \
-         superinstructions {:.2}x, dedup {:.2}x at {dup_share:.0}% duplicates — wrote {path}",
+         dedup {:.2}x at {dup_share:.0}% duplicates — wrote {path}",
         compiled / recursive,
         parn / par1,
-        fused_rate / unfused_rate,
         with_dedup / no_dedup,
         dup_share = dup_share * 100.0,
     );

@@ -2,9 +2,10 @@
 //!
 //! [`Expr::eval`](crate::Expr::eval) walks a pointer tree — every node is a
 //! separate heap allocation, so a population-scale fitness pass spends most
-//! of its time in call overhead and cache misses. [`CompiledExpr`] flattens
-//! the tree once into a postfix [`Op`] program stored in one contiguous
-//! `Vec`, then evaluates it with a tight interpreter loop.
+//! of its time in call overhead and cache misses. [`CompiledExpr`] turns a
+//! pre-order genome ([`Node`] slice) once into a postfix [`Op`] program
+//! stored in one contiguous `Vec`, then evaluates it with a tight
+//! interpreter loop.
 //!
 //! Two evaluation modes are provided:
 //!
@@ -24,8 +25,8 @@
 //!
 //! # Superinstructions
 //!
-//! [`CompiledExpr::compile`] additionally runs a peephole pass that fuses
-//! the most common postfix adjacencies into single *superinstructions*:
+//! [`CompiledExpr::compile`] runs a peephole pass that fuses the most
+//! common postfix adjacencies into single *superinstructions*:
 //! `Var Var Bin`, `Var Const Bin`, `Const Var Bin`, `… Var Bin`,
 //! `… Const Bin`, and `Var Unary` each become one [`Op`]. GP trees are
 //! leaf-heavy (every interior node has at least one leaf operand half the
@@ -34,30 +35,35 @@
 //! *directly from the dataset column or an immediate* instead of first
 //! memcpying a whole column onto the value stack. Fused evaluation calls
 //! the exact same protected [`BinaryOp::apply`]/[`UnaryOp::apply`] in the
-//! exact same order as the unfused program, so it stays bit-identical;
-//! `crates/gp/tests/properties.rs` property-tests this against the
-//! recursive walker, and [`CompiledExpr::compile_unfused`] keeps the
-//! plain program around for those tests and the
-//! `superinstruction_speedup` microbenchmark.
+//! exact same order as the plain stack machine, so it stays bit-identical
+//! to the recursive walker; `crates/gp/tests/properties.rs` property-tests
+//! this.
+//!
+//! Fusion looks only at node kinds, never at constant values, and leaves
+//! the leaves in their left-to-right order with at most one constant per
+//! op. The `k`-th constant of the genome is therefore the `k`-th constant
+//! immediate of the program ([`CompiledExpr::immediate_mut`]), which is
+//! how the engine polishes a winner's constants without recompiling it.
 
 use serde::{Deserialize, Serialize};
 
-use crate::expr::{BinaryOp, Expr, UnaryOp};
+use crate::expr::{BinaryOp, UnaryOp};
+use crate::genome::Node;
 use crate::{Dataset, Metric};
 
 /// One postfix instruction.
 ///
-/// The first four variants are the plain stack machine an [`Expr`]
+/// The first four variants are the plain stack machine a genome
 /// flattens to; the rest are fused superinstructions the peephole pass
 /// in [`CompiledExpr::compile`] substitutes for common adjacencies. In
 /// the comments below, `v(i)` is input variable `i` (0.0 when out of
-/// range, matching [`Expr::eval`]).
+/// range, matching [`Expr::eval`](crate::Expr::eval)).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Op {
     /// Push a constant.
     Const(f64),
     /// Push input variable `i` (out-of-range pushes 0.0, matching
-    /// [`Expr::eval`]).
+    /// [`Expr::eval`](crate::Expr::eval)).
     Var(u32),
     /// Pop one value, push `op(value)`.
     Unary(UnaryOp),
@@ -77,11 +83,11 @@ pub enum Op {
     VarUnary(UnaryOp, u32),
 }
 
-/// An [`Expr`] flattened to postfix bytecode.
+/// A pre-order genome flattened to postfix bytecode.
 ///
 /// Compile once with [`CompiledExpr::compile`], evaluate many times; the
-/// program is immutable and `Sync`, so one compiled individual can be
-/// scored from several threads.
+/// program is `Sync`, so one compiled individual can be scored from
+/// several threads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledExpr {
     ops: Vec<Op>,
@@ -89,21 +95,13 @@ pub struct CompiledExpr {
 }
 
 impl CompiledExpr {
-    /// Flattens `expr` into a postfix program and fuses superinstructions.
-    pub fn compile(expr: &Expr) -> CompiledExpr {
-        let mut ops = Vec::with_capacity(expr.size());
-        flatten(expr, &mut ops);
+    /// Flattens a pre-order genome into a postfix program and fuses
+    /// superinstructions.
+    pub fn compile(nodes: &[Node]) -> CompiledExpr {
+        let mut ops = Vec::with_capacity(nodes.len());
+        let end = flatten(nodes, 0, &mut ops);
+        debug_assert_eq!(end, nodes.len(), "genome holds exactly one tree");
         fuse(&mut ops);
-        CompiledExpr::finish(ops)
-    }
-
-    /// Flattens `expr` without the superinstruction pass — the plain
-    /// one-op-per-tree-node program. Exists for the bit-identity property
-    /// tests and the `superinstruction_speedup` microbenchmark; the
-    /// engine always uses [`compile`](Self::compile).
-    pub fn compile_unfused(expr: &Expr) -> CompiledExpr {
-        let mut ops = Vec::with_capacity(expr.size());
-        flatten(expr, &mut ops);
         CompiledExpr::finish(ops)
     }
 
@@ -132,21 +130,24 @@ impl CompiledExpr {
         &self.ops
     }
 
-    /// Number of instructions. Equals the source tree's node count for an
-    /// unfused program; fusion shrinks it (each superinstruction covers
-    /// two or three nodes).
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the program is empty (never true for a compiled tree).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// Peak value-stack depth the program needs.
     pub fn max_stack(&self) -> usize {
         self.max_stack
+    }
+
+    /// The `k`-th constant immediate in evaluation order — the genome's
+    /// `k`-th constant in pre-order (see the module docs). Patching it
+    /// is equivalent to recompiling the genome with that constant changed.
+    pub fn immediate_mut(&mut self, k: usize) -> Option<&mut f64> {
+        self.ops
+            .iter_mut()
+            .filter_map(|op| match op {
+                Op::Const(c) | Op::VarConst(_, _, c) | Op::ConstVar(_, c, _) | Op::TopConst(_, c) => {
+                    Some(c)
+                }
+                _ => None,
+            })
+            .nth(k)
     }
 
     /// Evaluates on one input row. Bit-identical to
@@ -336,18 +337,28 @@ fn metric_over_rows(metric: Metric, preds: &[f64], targets: &[f64]) -> f64 {
     }
 }
 
-fn flatten(expr: &Expr, out: &mut Vec<Op>) {
-    match expr {
-        Expr::Const(c) => out.push(Op::Const(*c)),
-        Expr::Var(i) => out.push(Op::Var(*i as u32)),
-        Expr::Unary(op, a) => {
-            flatten(a, out);
-            out.push(Op::Unary(*op));
+/// Emits the subtree rooted at `at` in postfix order (operands, then
+/// the operator) and returns the index one past it.
+fn flatten(nodes: &[Node], at: usize, out: &mut Vec<Op>) -> usize {
+    match nodes[at] {
+        Node::Const(c) => {
+            out.push(Op::Const(c));
+            at + 1
         }
-        Expr::Binary(op, a, b) => {
-            flatten(a, out);
-            flatten(b, out);
-            out.push(Op::Binary(*op));
+        Node::Var(i) => {
+            out.push(Op::Var(i));
+            at + 1
+        }
+        Node::Unary(op) => {
+            let end = flatten(nodes, at + 1, out);
+            out.push(Op::Unary(op));
+            end
+        }
+        Node::Binary(op) => {
+            let mid = flatten(nodes, at + 1, out);
+            let end = flatten(nodes, mid, out);
+            out.push(Op::Binary(op));
+            end
         }
     }
 }
@@ -360,9 +371,9 @@ fn flatten(expr: &Expr, out: &mut Vec<Op>) {
 /// subexpression is its root, so if the last emitted op is a plain
 /// `Var`/`Const` *push*, that push is the entirety of the operand
 /// subexpression and can be folded into the consuming operator. The
-/// rewrite only reorders nothing — operand evaluation order and every
+/// rewrite reorders nothing — operand evaluation order and every
 /// `apply` call are preserved exactly, which is what keeps fused
-/// programs bit-identical to unfused ones.
+/// programs bit-identical to the plain stack machine.
 fn fuse(ops: &mut Vec<Op>) {
     let mut w = 0usize;
     for r in 0..ops.len() {
@@ -525,6 +536,7 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut BatchScratch) -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Expr, FunctionSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -545,22 +557,49 @@ mod tests {
         )
     }
 
+    fn compile(e: &Expr) -> CompiledExpr {
+        CompiledExpr::compile(&e.to_nodes())
+    }
+
+    fn random_trees(seed: u64, n: usize, depth: usize) -> Vec<Expr> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let mut nodes = Vec::new();
+                crate::genome::random(&mut rng, depth, false, 2, &FunctionSet::full(), (-10.0, 10.0), &mut nodes);
+                Expr::from_nodes(&nodes)
+            })
+            .collect()
+    }
+
     #[test]
     fn compiles_to_postfix() {
-        let c = CompiledExpr::compile_unfused(&engine_speed());
-        assert_eq!(c.len(), 7);
-        assert_eq!(c.max_stack(), 3);
-        assert_eq!(
-            c.ops()[0..3],
-            [Op::Const(64.0), Op::Var(0), Op::Binary(BinaryOp::Mul)]
-        );
+        // neg(X0*X1 - cos(X1)), pre-order in, operands before operators out.
+        let nodes = [
+            Node::Unary(UnaryOp::Neg),
+            Node::Binary(BinaryOp::Sub),
+            Node::Binary(BinaryOp::Mul),
+            Node::Var(0),
+            Node::Var(1),
+            Node::Unary(UnaryOp::Cos),
+            Node::Var(1),
+        ];
+        let c = CompiledExpr::compile(&nodes);
+        let want = [
+            Op::VarVar(BinaryOp::Mul, 0, 1),
+            Op::VarUnary(UnaryOp::Cos, 1),
+            Op::Binary(BinaryOp::Sub),
+            Op::Unary(UnaryOp::Neg),
+        ];
+        assert_eq!(c.ops(), want);
+        assert_eq!(c.max_stack(), 2);
     }
 
     #[test]
     fn fuses_leaf_adjacent_superinstructions() {
         // (64*X0) + (0.25*X1): both products fuse to ConstVar; the Add's
         // operands are fused pushes, so it stays a plain Binary.
-        let c = CompiledExpr::compile(&engine_speed());
+        let c = compile(&engine_speed());
         assert_eq!(
             c.ops(),
             [
@@ -581,7 +620,7 @@ mod tests {
             )),
             Box::new(Expr::Var(2)),
         );
-        let c = CompiledExpr::compile(&e);
+        let c = compile(&e);
         assert_eq!(
             c.ops(),
             [Op::VarVar(BinaryOp::Sub, 0, 1), Op::TopVar(BinaryOp::Mul, 2)]
@@ -594,7 +633,7 @@ mod tests {
             Box::new(Expr::Unary(UnaryOp::Sqrt, Box::new(Expr::Var(0)))),
             Box::new(Expr::Const(3.0)),
         );
-        let c = CompiledExpr::compile(&e);
+        let c = compile(&e);
         assert_eq!(
             c.ops(),
             [Op::VarUnary(UnaryOp::Sqrt, 0), Op::TopConst(BinaryOp::Add, 3.0)]
@@ -602,28 +641,23 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_unfused_programs_agree_bit_for_bit() {
-        let data = Dataset::from_triples((0..40).map(|i| {
-            let x0 = f64::from(i * 13 % 251);
-            let x1 = f64::from(i % 17) - 8.0;
-            ((x0, x1), x0 * 0.3 - x1)
-        }))
-        .unwrap();
-        let cols = Columns::from_dataset(&data);
-        let mut scratch_a = BatchScratch::new();
-        let mut scratch_b = BatchScratch::new();
-        let mut rng = StdRng::seed_from_u64(29);
-        for _ in 0..300 {
-            let e = Expr::random_grow(&mut rng, 6, 2, &UnaryOp::ALL, &BinaryOp::ALL, (-10.0, 10.0));
-            let fused = CompiledExpr::compile(&e);
-            let plain = CompiledExpr::compile_unfused(&e);
-            assert!(fused.len() <= plain.len());
-            assert!(fused.max_stack() <= plain.max_stack());
-            for metric in [Metric::MeanAbsoluteError, Metric::MeanSquaredError, Metric::Rmse] {
-                let a = fused.error_on(&cols, metric, &mut scratch_a);
-                let b = plain.error_on(&cols, metric, &mut scratch_b);
-                assert!(a.to_bits() == b.to_bits(), "{e} with {metric:?}: {a} vs {b}");
+    fn patched_immediates_match_a_recompile() {
+        // The k-th pre-order constant is the k-th immediate, so patching
+        // it must give exactly the program of the patched genome.
+        for (i, e) in random_trees(29, 300, 6).iter().enumerate() {
+            let mut nodes = e.to_nodes();
+            let consts: Vec<usize> = (0..nodes.len())
+                .filter(|&j| matches!(nodes[j], Node::Const(_)))
+                .collect();
+            let mut program = CompiledExpr::compile(&nodes);
+            assert!(program.immediate_mut(consts.len()).is_none());
+            if consts.is_empty() {
+                continue;
             }
+            let k = i % consts.len();
+            *program.immediate_mut(k).unwrap() = 0.125;
+            nodes[consts[k]] = Node::Const(0.125);
+            assert_eq!(program, CompiledExpr::compile(&nodes), "{e}, constant {k}");
         }
     }
 
@@ -631,7 +665,7 @@ mod tests {
     fn thread_scratch_is_reused() {
         let data = Dataset::from_pairs((0..10).map(|i| (f64::from(i), f64::from(i)))).unwrap();
         let cols = Columns::from_dataset(&data);
-        let c = CompiledExpr::compile(&Expr::Binary(
+        let c = compile(&Expr::Binary(
             BinaryOp::Mul,
             Box::new(Expr::Var(0)),
             Box::new(Expr::Var(0)),
@@ -644,24 +678,22 @@ mod tests {
     #[test]
     fn scalar_eval_matches_tree() {
         let e = engine_speed();
-        let c = CompiledExpr::compile(&e);
+        let c = compile(&e);
         let row = [26.0, 240.0];
         assert_eq!(c.eval(&row).to_bits(), e.eval(&row).to_bits());
     }
 
     #[test]
     fn out_of_range_variable_is_zero() {
-        let c = CompiledExpr::compile(&Expr::Var(5));
+        let c = compile(&Expr::Var(5));
         assert_eq!(c.eval(&[1.0]), 0.0);
     }
 
     #[test]
     fn random_trees_match_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(11);
         let mut stack = Vec::new();
-        for _ in 0..300 {
-            let e = Expr::random_grow(&mut rng, 6, 2, &UnaryOp::ALL, &BinaryOp::ALL, (-10.0, 10.0));
-            let c = CompiledExpr::compile(&e);
+        for e in random_trees(11, 300, 6) {
+            let c = compile(&e);
             for row in [[0.0, 0.0], [1.5, -3.0], [1e6, -1e6], [0.3, 255.0]] {
                 let a = e.eval(&row);
                 let b = c.eval_with(&row, &mut stack);
@@ -683,10 +715,8 @@ mod tests {
         .unwrap();
         let cols = Columns::from_dataset(&data);
         let mut scratch = BatchScratch::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..200 {
-            let e = Expr::random_grow(&mut rng, 5, 2, &UnaryOp::ALL, &BinaryOp::ALL, (-10.0, 10.0));
-            let c = CompiledExpr::compile(&e);
+        for e in random_trees(3, 200, 5) {
+            let c = compile(&e);
             for metric in [Metric::MeanAbsoluteError, Metric::MeanSquaredError, Metric::Rmse] {
                 let want = metric.error(&e, &data);
                 let got = c.error_on(&cols, metric, &mut scratch);
@@ -704,7 +734,7 @@ mod tests {
         let e = Expr::Binary(BinaryOp::Mul, Box::new(Expr::Var(0)), Box::new(Expr::Var(0)));
         let data = Dataset::from_pairs([(1e300, 1.0), (2.0, 2.0)]).unwrap();
         let cols = Columns::from_dataset(&data);
-        let c = CompiledExpr::compile(&e);
+        let c = compile(&e);
         assert_eq!(
             c.error_on(&cols, Metric::MeanAbsoluteError, &mut BatchScratch::new()),
             f64::INFINITY

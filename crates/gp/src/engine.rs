@@ -3,13 +3,16 @@
 //!
 //! # Performance and determinism
 //!
-//! Fitness scoring is the engine's hot loop (population × generations ×
-//! rows). Two optimizations keep it fast without perturbing a single
+//! Three choices keep the engine fast without perturbing a single
 //! result:
 //!
-//! * every individual is flattened to a [`CompiledExpr`] and scored with
-//!   the batch evaluator over a column-major [`Columns`] view — both
-//!   bit-identical to the recursive walker;
+//! * every individual is a flat pre-order genome ([`crate::genome`]), so
+//!   breeding is slice splices and in-place edits rather than boxed-tree
+//!   clones and recursive node walks;
+//! * pending children are deduplicated on their genome slices, and only
+//!   the distinct representatives are compiled to a [`CompiledExpr`] and
+//!   scored with the batch evaluator over a column-major [`Columns`]
+//!   view — bit-identical to the recursive walker;
 //! * each generation is bred *sequentially* (all RNG draws happen here,
 //!   selecting from the previous, fully-scored generation) and then scored
 //!   with one `par_map` over the [`dpr_par`] pool in index order. Inside
@@ -22,6 +25,10 @@
 //! Because scoring is pure and its outputs are reassembled in input order,
 //! a run with `DPR_THREADS=8` produces exactly the same [`FittedModel`] as
 //! a single-threaded run.
+//!
+//! Each phase runs under its own child span of `gp.fit` — `gp.breed` and
+//! `gp.score` once per generation, `gp.polish` and `gp.refit` once per
+//! phase — so a trace shows where a fit's time went.
 
 use std::time::Instant;
 
@@ -32,6 +39,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::compile::{BatchScratch, Columns, CompiledExpr};
 use crate::expr::{BinaryOp, Expr, UnaryOp};
+use crate::genome::{self, Node};
 use crate::model::FittedModel;
 use crate::scaling::ScalePlan;
 use crate::{Dataset, Metric};
@@ -174,12 +182,16 @@ pub struct GpReport {
 }
 
 struct Individual {
-    expr: Expr,
+    genome: Vec<Node>,
     /// Raw metric error in scaled space (no parsimony).
     error: f64,
     /// Selection fitness: error plus parsimony penalty.
     fitness: f64,
 }
+
+/// A bred genome, with its parent's `(error, fitness)` when it is an
+/// unchanged copy whose score carries over.
+type Planned = (Vec<Node>, Option<(f64, f64)>);
 
 /// How one individual of one generation was produced — the per-child
 /// breeding record the evidence ledger's lineage walk-back consumes.
@@ -300,12 +312,7 @@ impl SymbolicRegressor {
             }
         }
         // Record the final state's best as well.
-        let best_idx = population
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.error.total_cmp(&b.error))
-            .map(|(i, _)| i)
-            .expect("population is non-empty");
+        let best_idx = best_index(&population);
         // Ancestry walk-back: from the winner's index in the final
         // generation, follow parent indices to generation 0. The result
         // reads oldest-first.
@@ -358,31 +365,29 @@ impl SymbolicRegressor {
         // Closed-form residual correction for missed low-order terms, and
         // a pure low-order candidate raced against the GP winner.
         if self.config.refit {
+            let refit_span = dpr_telemetry::Span::enter("gp.refit");
             dpr_telemetry::counter("gp.refit_attempts").inc(1);
-            if let Some(corrected) = crate::refit::residual_refit(&best.expr, &scaled, self.config.metric) {
-                let (error, fitness) = self.evaluate(&corrected, &cols, &mut scratch, &mut evaluations);
+            let winner = Expr::from_nodes(&best.genome);
+            let candidates = [
+                ("refit-residual", crate::refit::residual_refit(&winner, &scaled, self.config.metric)),
+                ("refit-loworder", crate::refit::loworder_candidate(&scaled)),
+            ];
+            for (op, candidate) in candidates {
+                let Some(candidate) = candidate else { continue };
+                let genome = candidate.to_nodes();
+                evaluations += cols.n_rows() as u64;
+                let error = CompiledExpr::compile(&genome).error_on(&cols, self.config.metric, &mut scratch);
                 if error < best.error {
                     if lineage_on {
-                        post_step(&mut steps, "refit-residual", best.error);
+                        post_step(&mut steps, op, best.error);
                     }
-                    best.expr = corrected;
+                    best.fitness = self.fitness(error, genome.len());
+                    best.genome = genome;
                     best.error = error;
-                    best.fitness = fitness;
                     dpr_telemetry::counter("gp.refit_applied").inc(1);
                 }
             }
-            if let Some(candidate) = crate::refit::loworder_candidate(&scaled) {
-                let (error, fitness) = self.evaluate(&candidate, &cols, &mut scratch, &mut evaluations);
-                if error < best.error {
-                    if lineage_on {
-                        post_step(&mut steps, "refit-loworder", best.error);
-                    }
-                    best.expr = candidate;
-                    best.error = error;
-                    best.fitness = fitness;
-                    dpr_telemetry::counter("gp.refit_applied").inc(1);
-                }
-            }
+            drop(refit_span);
             // Polish again: grafted coefficients interact with the original
             // constants.
             let pre_polish = best.error;
@@ -392,7 +397,7 @@ impl SymbolicRegressor {
             }
         }
 
-        let expr = best.expr.simplify();
+        let expr = Expr::from_nodes(&best.genome).simplify();
         let model = FittedModel {
             expr,
             plan,
@@ -444,35 +449,25 @@ impl SymbolicRegressor {
         }
     }
 
-    /// Scores one expression: compile, batch-evaluate, apply the parsimony
-    /// penalty. Used by the sequential tail (polish, refit) — population
-    /// scoring goes through [`Self::score_pending`].
-    fn evaluate(
-        &self,
-        expr: &Expr,
-        cols: &Columns,
-        scratch: &mut BatchScratch,
-        evaluations: &mut u64,
-    ) -> (f64, f64) {
-        *evaluations += cols.n_rows() as u64;
-        let error = CompiledExpr::compile(expr).error_on(cols, self.config.metric, scratch);
-        let fitness = if error.is_finite() {
-            error + self.config.parsimony * expr.size() as f64
+    /// Selection fitness: the raw error plus the parsimony penalty on
+    /// genome size; non-finite errors always lose.
+    fn fitness(&self, error: f64, size: usize) -> f64 {
+        if error.is_finite() {
+            error + self.config.parsimony * size as f64
         } else {
             f64::INFINITY
-        };
-        (error, fitness)
+        }
     }
 
-    /// Turns bred expressions into scored individuals.
+    /// Turns bred genomes into scored individuals.
     ///
     /// Entries carrying a cached `(error, fitness)` — individuals the
     /// breeding phase copied over unchanged — are not re-scored. The rest
-    /// are compiled once on the breeding thread, deduplicated by compiled
-    /// program structure, and the distinct programs are mapped through
-    /// the [`dpr_par`] pool. A fit that is itself a task of the pipeline's
-    /// sensor fan-out makes a nested call, which drains inline on that
-    /// task's thread.
+    /// are deduplicated on their genome slices, only the distinct
+    /// representatives are compiled, and those programs are mapped
+    /// through the [`dpr_par`] pool. A fit that is itself a task of the
+    /// pipeline's sensor fan-out makes a nested call, which drains inline
+    /// on that task's thread.
     ///
     /// Scoring is pure, results come back in index order, and a
     /// duplicate reuses the bit-identical error its representative
@@ -482,16 +477,16 @@ impl SymbolicRegressor {
     /// `gp.dedup_hits`.
     fn score_pending(
         &self,
-        planned: Vec<(Expr, Option<(f64, f64)>)>,
+        planned: Vec<Planned>,
         cols: &Columns,
         evaluations: &mut u64,
         cache_hits: &mut u64,
     ) -> Vec<Individual> {
-        let pending: Vec<usize> = planned
+        let _span = dpr_telemetry::Span::enter("gp.score");
+        let pending: Vec<&[Node]> = planned
             .iter()
-            .enumerate()
-            .filter(|(_, (_, cached))| cached.is_none())
-            .map(|(i, _)| i)
+            .filter(|(_, cached)| cached.is_none())
+            .map(|(genome, _)| genome.as_slice())
             .collect();
         *evaluations += (pending.len() * cols.n_rows()) as u64;
         let hits = (planned.len() - pending.len()) as u64;
@@ -500,27 +495,26 @@ impl SymbolicRegressor {
             *cache_hits += hits;
         }
 
-        // Compile on the breeding thread: dedup needs the programs
-        // anyway, compilation is ~1% of scoring cost, and it keeps the
-        // workers purely arithmetic.
-        let programs: Vec<CompiledExpr> = pending
-            .iter()
-            .map(|&i| CompiledExpr::compile(&planned[i].0))
-            .collect();
-        let groups = crate::dedup::group(&programs);
-        if !programs.is_empty() {
+        let groups = crate::dedup::group(&pending);
+        if !pending.is_empty() {
             dpr_telemetry::counter("gp.dedup_distinct").inc(groups.reps.len() as u64);
             if groups.hits() > 0 {
                 dpr_telemetry::counter("gp.dedup_hits").inc(groups.hits());
             }
         }
-        let distinct: Vec<&CompiledExpr> = groups.reps.iter().map(|&r| &programs[r]).collect();
+        // Compile on the breeding thread, so the workers stay purely
+        // arithmetic.
+        let programs: Vec<CompiledExpr> = groups
+            .reps
+            .iter()
+            .map(|&r| CompiledExpr::compile(pending[r]))
+            .collect();
 
         let metric = self.config.metric;
         // Labelled so the profile store attributes the pool call (and its
         // per-worker busy/idle/alloc accounting) to GP fitness scoring.
         let errors: Vec<f64> = dpr_prof::with_label(SCORE_LABEL, || {
-            dpr_par::Pool::from_env().par_map(&distinct, |program| {
+            dpr_par::Pool::from_env().par_map(&programs, |program| {
                 crate::compile::with_thread_scratch(|scratch| {
                     program.error_on(cols, metric, scratch)
                 })
@@ -529,22 +523,16 @@ impl SymbolicRegressor {
 
         // `pending` is in index order, so fresh scores interleave back
         // into the cached ones by consuming the assignments in sequence.
-        let parsimony = self.config.parsimony;
         let mut next_pending = 0usize;
         planned
             .into_iter()
-            .map(|(expr, cached)| {
+            .map(|(genome, cached)| {
                 let (error, fitness) = cached.unwrap_or_else(|| {
                     let error = errors[groups.assign[next_pending] as usize];
                     next_pending += 1;
-                    let fitness = if error.is_finite() {
-                        error + parsimony * expr.size() as f64
-                    } else {
-                        f64::INFINITY
-                    };
-                    (error, fitness)
+                    (error, self.fitness(error, genome.len()))
                 });
-                Individual { expr, error, fitness }
+                Individual { genome, error, fitness }
             })
             .collect()
     }
@@ -556,9 +544,10 @@ impl SymbolicRegressor {
         cache_hits: &mut u64,
         lineage: bool,
     ) -> (Vec<Individual>, Vec<BreedRec>) {
+        let breed_span = dpr_telemetry::Span::enter("gp.breed");
         let n = self.config.population_size;
         let n_vars = cols.n_vars();
-        let mut exprs = Vec::with_capacity(n);
+        let mut genomes = Vec::with_capacity(n);
         let mut recs = Vec::new();
 
         // Informed template seeding (~6% of the population): affine and
@@ -568,8 +557,7 @@ impl SymbolicRegressor {
         if self.config.seeded_init {
             let templates = n / 16;
             for _ in 0..templates {
-                let expr = self.random_template(n_vars);
-                exprs.push(expr);
+                genomes.push(self.random_template(n_vars));
                 if lineage {
                     recs.push(BreedRec::init("seed-template"));
                 }
@@ -579,38 +567,28 @@ impl SymbolicRegressor {
         // Ramped half-and-half for the rest. Generation happens first (all
         // RNG draws, sequential); scoring follows in one parallel pass.
         let (lo, hi) = self.config.init_depth;
-        let unary = self.config.functions.unary.clone();
-        let binary = self.config.functions.binary.clone();
         let mut depth = lo;
-        while exprs.len() < n {
-            let full = exprs.len() % 2 == 0;
-            let expr = if full {
-                Expr::random_full(
-                    &mut self.rng,
-                    depth,
-                    n_vars,
-                    &unary,
-                    &binary,
-                    self.config.const_range,
-                )
-            } else {
-                Expr::random_grow(
-                    &mut self.rng,
-                    depth,
-                    n_vars,
-                    &unary,
-                    &binary,
-                    self.config.const_range,
-                )
-            };
-            exprs.push(expr);
+        while genomes.len() < n {
+            let full = genomes.len() % 2 == 0;
+            let mut nodes = Vec::new();
+            genome::random(
+                &mut self.rng,
+                depth,
+                full,
+                n_vars,
+                &self.config.functions,
+                self.config.const_range,
+                &mut nodes,
+            );
+            genomes.push(nodes);
             if lineage {
                 recs.push(BreedRec::init(if full { "init-full" } else { "init-grow" }));
             }
             depth = if depth >= hi { lo } else { depth + 1 };
         }
+        drop(breed_span);
         let pop = self.score_pending(
-            exprs.into_iter().map(|e| (e, None)).collect(),
+            genomes.into_iter().map(|g| (g, None)).collect(),
             cols,
             evaluations,
             cache_hits,
@@ -618,40 +596,47 @@ impl SymbolicRegressor {
         (pop, recs)
     }
 
-    /// A random low-order template: `c0*Xi + c1`, `c0*Xi + c1*Xj + c2`, or
-    /// `c0*Xi*Xj + c1`.
-    fn random_template(&mut self, n_vars: usize) -> Expr {
-        let c = |rng: &mut StdRng| {
-            Expr::Const((rng.gen_range(-10.0..=10.0f64) * 1000.0).round() / 1000.0)
-        };
-        let var = |rng: &mut StdRng| Expr::Var(rng.gen_range(0..n_vars));
-        let mul = |a: Expr, b: Expr| Expr::Binary(BinaryOp::Mul, Box::new(a), Box::new(b));
-        let add = |a: Expr, b: Expr| Expr::Binary(BinaryOp::Add, Box::new(a), Box::new(b));
-        match self.rng.gen_range(0..3) {
-            0 => {
-                let t = mul(c(&mut self.rng), var(&mut self.rng));
-                add(t, c(&mut self.rng))
-            }
-            1 if n_vars > 1 => {
-                let t0 = mul(c(&mut self.rng), Expr::Var(0));
-                let t1 = mul(c(&mut self.rng), Expr::Var(1));
-                add(add(t0, t1), c(&mut self.rng))
-            }
-            _ if n_vars > 1 => {
-                let t = mul(c(&mut self.rng), mul(Expr::Var(0), Expr::Var(1)));
-                add(t, c(&mut self.rng))
-            }
-            _ => {
-                let t = mul(c(&mut self.rng), var(&mut self.rng));
-                add(t, c(&mut self.rng))
-            }
+    /// A random low-order template: `c0*Xi + c1`, `c0*X0 + c1*X1 + c2`, or
+    /// `c0*(X0*X1) + c1`. Constants are drawn in pre-order.
+    fn random_template(&mut self, n_vars: usize) -> Vec<Node> {
+        use BinaryOp::{Add, Mul};
+        use Node::{Binary, Var};
+        let c = |rng: &mut StdRng| Node::Const(genome::round3(rng.gen_range(-10.0..=10.0f64)));
+        let rng = &mut self.rng;
+        match rng.gen_range(0..3) {
+            1 if n_vars > 1 => vec![
+                Binary(Add),
+                Binary(Add),
+                Binary(Mul),
+                c(rng),
+                Var(0),
+                Binary(Mul),
+                c(rng),
+                Var(1),
+                c(rng),
+            ],
+            2 if n_vars > 1 => vec![
+                Binary(Add),
+                Binary(Mul),
+                c(rng),
+                Binary(Mul),
+                Var(0),
+                Var(1),
+                c(rng),
+            ],
+            _ => vec![
+                Binary(Add),
+                Binary(Mul),
+                c(rng),
+                Var(rng.gen_range(0..n_vars) as u32),
+                c(rng),
+            ],
         }
     }
 
     /// Tournament selection, returning the winner's *index* so breeding can
-    /// record parent identities for the evidence ledger. Draw order and the
-    /// tie-breaking rule (an earlier draw wins ties) are unchanged from the
-    /// original reference-returning implementation.
+    /// record parent identities for the evidence ledger. An earlier draw
+    /// wins ties.
     fn tournament(&mut self, population: &[Individual]) -> usize {
         let mut best: Option<usize> = None;
         for _ in 0..self.config.tournament_size {
@@ -667,19 +652,17 @@ impl SymbolicRegressor {
     /// Breeds and scores the next generation.
     ///
     /// The breeding loop runs sequentially and consumes the RNG stream in
-    /// exactly the order the fully-sequential engine did: selection draws
-    /// only depend on the *previous* generation's (already known) scores,
-    /// never on a sibling's. Scoring of the bred children then happens in
-    /// one deterministic parallel pass via [`Self::score_pending`].
+    /// a fixed order: selection draws only depend on the *previous*
+    /// generation's (already known) scores, never on a sibling's. Scoring
+    /// of the bred children then happens in one deterministic parallel
+    /// pass via [`Self::score_pending`].
     ///
     /// Fitness-cache rule: a score is carried over only when the child is
-    /// byte-for-byte the parent expression — the elite copy, a
-    /// reproduction child, or a depth-limit fallback. Any variation
-    /// operator invalidates the cache unconditionally; the structural
-    /// dedup pass in [`Self::score_pending`] then catches variation
-    /// children that came out identical anyway (and identical siblings)
-    /// at the compiled-program level, where the comparison is a cheap
-    /// slice walk instead of a tree traversal.
+    /// a copy of the parent genome — the elite copy, a reproduction
+    /// child, or a depth-limit fallback. Any variation operator
+    /// invalidates the cache unconditionally; the structural dedup pass
+    /// in [`Self::score_pending`] then catches variation children that
+    /// came out identical anyway (and identical siblings).
     fn next_generation(
         &mut self,
         population: Vec<Individual>,
@@ -688,27 +671,21 @@ impl SymbolicRegressor {
         cache_hits: &mut u64,
         lineage: bool,
     ) -> (Vec<Individual>, Vec<BreedRec>) {
+        let breed_span = dpr_telemetry::Span::enter("gp.breed");
         let n = population.len();
-        let mut planned: Vec<(Expr, Option<(f64, f64)>)> = Vec::with_capacity(n);
+        let mut planned: Vec<Planned> = Vec::with_capacity(n);
         let mut recs = Vec::new();
 
         // Elitism: the best individual survives unchanged, score and all.
-        let elite_idx = population
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.error.total_cmp(&b.error))
-            .map(|(i, _)| i)
-            .expect("population is non-empty");
-        planned.push((
-            population[elite_idx].expr.clone(),
-            Some((population[elite_idx].error, population[elite_idx].fitness)),
-        ));
+        let elite_idx = best_index(&population);
+        let elite = &population[elite_idx];
+        planned.push((elite.genome.clone(), Some((elite.error, elite.fitness))));
         if lineage {
             recs.push(BreedRec {
                 op: "elite",
                 parent: Some(elite_idx as u32),
                 donor: None,
-                parent_error: dpr_evidence::finite(population[elite_idx].error),
+                parent_error: dpr_evidence::finite(elite.error),
             });
         }
 
@@ -725,25 +702,27 @@ impl SymbolicRegressor {
             let picked_idx = self.tournament(&population);
             let picked = &population[picked_idx];
             let parent_score = (picked.error, picked.fitness);
-            let parent = picked.expr.clone();
-            let (child, cached, op, donor_idx) = if roll < p_cx {
+            let parent = picked.genome.as_slice();
+            let (mut child, cached, op, donor_idx) = if roll < p_cx {
                 let donor_idx = self.tournament(&population);
-                let donor = population[donor_idx].expr.clone();
-                (self.crossover(&parent, &donor), None, "crossover", Some(donor_idx))
+                let child = self.crossover(parent, &population[donor_idx].genome);
+                (child, None, "crossover", Some(donor_idx))
             } else if roll < p_cx + p_sub {
-                (self.subtree_mutation(&parent, n_vars), None, "subtree-mutation", None)
+                (self.subtree_mutation(parent, n_vars), None, "subtree-mutation", None)
             } else if roll < p_cx + p_sub + p_hoist {
-                (self.hoist_mutation(&parent), None, "hoist-mutation", None)
+                (self.hoist_mutation(parent), None, "hoist-mutation", None)
             } else if roll < p_cx + p_sub + p_hoist + p_point {
-                (self.point_mutation(&parent, n_vars), None, "point-mutation", None)
+                (self.point_mutation(parent, n_vars), None, "point-mutation", None)
             } else {
                 // Reproduction: the child IS the parent — reuse its score.
-                (parent.clone(), Some(parent_score), "reproduction", None)
+                (parent.to_vec(), Some(parent_score), "reproduction", None)
             };
-            let (child, cached, op) = if child.depth() > max_depth {
-                (parent, Some(parent_score), "depth-fallback")
+            let (cached, op) = if genome::depth(&child) > max_depth {
+                child.clear();
+                child.extend_from_slice(parent);
+                (Some(parent_score), "depth-fallback")
             } else {
-                (child, cached, op)
+                (cached, op)
             };
             planned.push((child, cached));
             if lineage {
@@ -755,64 +734,56 @@ impl SymbolicRegressor {
                 });
             }
         }
+        drop(breed_span);
         let pop = self.score_pending(planned, cols, evaluations, cache_hits);
         (pop, recs)
     }
 
-    /// Subtree crossover: replace a random node of `recipient` with a
+    /// Subtree crossover: replace a random subtree of `recipient` with a
     /// random subtree of `donor`.
-    fn crossover(&mut self, recipient: &Expr, donor: &Expr) -> Expr {
-        let mut child = recipient.clone();
-        let at = self.rng.gen_range(0..child.size());
-        let from = self.rng.gen_range(0..donor.size());
-        *child.node_mut(at) = donor.node(from).clone();
-        child
+    fn crossover(&mut self, recipient: &[Node], donor: &[Node]) -> Vec<Node> {
+        let at = self.rng.gen_range(0..recipient.len());
+        let from = self.rng.gen_range(0..donor.len());
+        splice(recipient, at, &donor[from..genome::subtree_end(donor, from)])
     }
 
-    /// Subtree mutation: replace a random node with a fresh grown tree.
-    fn subtree_mutation(&mut self, parent: &Expr, n_vars: usize) -> Expr {
-        let mut child = parent.clone();
-        let at = self.rng.gen_range(0..child.size());
-        let unary = self.config.functions.unary.clone();
-        let binary = self.config.functions.binary.clone();
-        let fresh = Expr::random_grow(
+    /// Subtree mutation: replace a random subtree with a fresh grown tree.
+    fn subtree_mutation(&mut self, parent: &[Node], n_vars: usize) -> Vec<Node> {
+        let at = self.rng.gen_range(0..parent.len());
+        let end = genome::subtree_end(parent, at);
+        let mut child = Vec::with_capacity(parent.len() + 8);
+        child.extend_from_slice(&parent[..at]);
+        genome::random(
             &mut self.rng,
             3,
+            false,
             n_vars,
-            &unary,
-            &binary,
+            &self.config.functions,
             self.config.const_range,
+            &mut child,
         );
-        *child.node_mut(at) = fresh;
+        child.extend_from_slice(&parent[end..]);
         child
     }
 
-    /// Hoist mutation: replace a random node with one of its own subtrees,
-    /// shrinking the individual (bloat control).
-    fn hoist_mutation(&mut self, parent: &Expr) -> Expr {
-        let mut child = parent.clone();
-        let at = self.rng.gen_range(0..child.size());
-        let node = child.node(at).clone();
-        let inner_at = self.rng.gen_range(0..node.size());
-        let hoisted = node.node(inner_at).clone();
-        *child.node_mut(at) = hoisted;
-        child
+    /// Hoist mutation: replace a random subtree with one of its own
+    /// subtrees, shrinking the individual (bloat control).
+    fn hoist_mutation(&mut self, parent: &[Node]) -> Vec<Node> {
+        let at = self.rng.gen_range(0..parent.len());
+        let inner = at + self.rng.gen_range(0..genome::subtree_end(parent, at) - at);
+        splice(parent, at, &parent[inner..genome::subtree_end(parent, inner)])
     }
 
     /// Point mutation: independently perturb constants and swap operators
-    /// or variables at ~15% of nodes.
-    fn point_mutation(&mut self, parent: &Expr, n_vars: usize) -> Expr {
-        let mut child = parent.clone();
-        let size = child.size();
-        let unary = self.config.functions.unary.clone();
-        let binary = self.config.functions.binary.clone();
-        for idx in 0..size {
+    /// or variables at ~15% of nodes, visited in pre-order.
+    fn point_mutation(&mut self, parent: &[Node], n_vars: usize) -> Vec<Node> {
+        let mut child = parent.to_vec();
+        for node in &mut child {
             if !self.rng.gen_bool(0.15) {
                 continue;
             }
-            let node = child.node_mut(idx);
             match node {
-                Expr::Const(v) => {
+                Node::Const(v) => {
                     // Mix multiplicative and additive perturbations so both
                     // large and near-zero constants can move.
                     if self.rng.gen_bool(0.5) {
@@ -821,18 +792,18 @@ impl SymbolicRegressor {
                         *v += self.rng.gen_range(-0.5..0.5);
                     }
                 }
-                Expr::Var(i) => {
+                Node::Var(i) => {
                     if n_vars > 1 {
-                        *i = self.rng.gen_range(0..n_vars);
+                        *i = self.rng.gen_range(0..n_vars) as u32;
                     }
                 }
-                Expr::Unary(op, _) => {
-                    if let Some(new_op) = unary.choose(&mut self.rng) {
+                Node::Unary(op) => {
+                    if let Some(new_op) = self.config.functions.unary.choose(&mut self.rng) {
                         *op = *new_op;
                     }
                 }
-                Expr::Binary(op, _, _) => {
-                    if let Some(new_op) = binary.choose(&mut self.rng) {
+                Node::Binary(op) => {
+                    if let Some(new_op) = self.config.functions.binary.choose(&mut self.rng) {
                         *op = *new_op;
                     }
                 }
@@ -843,6 +814,9 @@ impl SymbolicRegressor {
 
     /// Hill-climb the winner's constants: propose a perturbation of one
     /// constant at a time and keep it if the (scaled-space) error improves.
+    ///
+    /// The winner is compiled once; each proposal patches one constant
+    /// immediate of that program in place and is reverted if rejected.
     fn polish(
         &mut self,
         best: &mut Individual,
@@ -850,36 +824,60 @@ impl SymbolicRegressor {
         scratch: &mut BatchScratch,
         evaluations: &mut u64,
     ) {
-        if self.config.polish_iters == 0 {
+        let _span = dpr_telemetry::Span::enter("gp.polish");
+        // Genome positions of the constants, in pre-order: slot `k` is
+        // the program's `k`-th constant immediate.
+        let slots: Vec<usize> = (0..best.genome.len())
+            .filter(|&i| matches!(best.genome[i], Node::Const(_)))
+            .collect();
+        if self.config.polish_iters == 0 || slots.is_empty() {
             return;
         }
-        let n_consts = best.expr.clone().constants_mut().len();
-        if n_consts == 0 {
-            return;
-        }
+        let mut program = CompiledExpr::compile(&best.genome);
         for iter in 0..self.config.polish_iters {
             // Annealed step size: start coarse, end fine.
             let t = iter as f64 / self.config.polish_iters as f64;
             let sigma = 0.25 * (1.0 - t) + 0.002;
-            let mut candidate = best.expr.clone();
-            {
-                let mut consts = candidate.constants_mut();
-                let which = self.rng.gen_range(0..consts.len());
-                let c = &mut *consts[which];
-                if self.rng.gen_bool(0.5) {
-                    *c *= 1.0 + self.rng.gen_range(-sigma..sigma);
-                } else {
-                    *c += self.rng.gen_range(-sigma..sigma);
-                }
+            let which = self.rng.gen_range(0..slots.len());
+            let c = program.immediate_mut(which).expect("one immediate per constant");
+            let old = *c;
+            if self.rng.gen_bool(0.5) {
+                *c *= 1.0 + self.rng.gen_range(-sigma..sigma);
+            } else {
+                *c += self.rng.gen_range(-sigma..sigma);
             }
-            let (error, fitness) = self.evaluate(&candidate, cols, scratch, evaluations);
+            let proposed = *c;
+            *evaluations += cols.n_rows() as u64;
+            let error = program.error_on(cols, self.config.metric, scratch);
             if error < best.error {
-                best.expr = candidate;
+                best.genome[slots[which]] = Node::Const(proposed);
                 best.error = error;
-                best.fitness = fitness;
+                best.fitness = self.fitness(error, best.genome.len());
+            } else {
+                *program.immediate_mut(which).expect("one immediate per constant") = old;
             }
         }
     }
+}
+
+/// Index of the lowest-error individual (the first, on ties).
+fn best_index(population: &[Individual]) -> usize {
+    population
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| a.error.total_cmp(&b.error))
+        .map(|(i, _)| i)
+        .expect("population is non-empty")
+}
+
+/// `parent` with the subtree rooted at `at` replaced by `graft`.
+fn splice(parent: &[Node], at: usize, graft: &[Node]) -> Vec<Node> {
+    let end = genome::subtree_end(parent, at);
+    let mut child = Vec::with_capacity(parent.len() - (end - at) + graft.len());
+    child.extend_from_slice(&parent[..at]);
+    child.extend_from_slice(graft);
+    child.extend_from_slice(&parent[end..]);
+    child
 }
 
 #[cfg(test)]

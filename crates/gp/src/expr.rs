@@ -2,9 +2,6 @@
 
 use std::fmt;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Binary functions of the function set.
@@ -177,88 +174,6 @@ impl Expr {
         }
     }
 
-    /// Tree depth (a leaf has depth 1).
-    pub fn depth(&self) -> usize {
-        match self {
-            Expr::Const(_) | Expr::Var(_) => 1,
-            Expr::Unary(_, a) => 1 + a.depth(),
-            Expr::Binary(_, a, b) => 1 + a.depth().max(b.depth()),
-        }
-    }
-
-    /// The set of variable indices the expression reads.
-    pub fn variables(&self) -> Vec<usize> {
-        let mut vars = Vec::new();
-        self.collect_vars(&mut vars);
-        vars.sort_unstable();
-        vars.dedup();
-        vars
-    }
-
-    fn collect_vars(&self, out: &mut Vec<usize>) {
-        match self {
-            Expr::Const(_) => {}
-            Expr::Var(i) => out.push(*i),
-            Expr::Unary(_, a) => a.collect_vars(out),
-            Expr::Binary(_, a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-        }
-    }
-
-    /// Returns a mutable reference to the `idx`-th node in pre-order.
-    pub(crate) fn node_mut(&mut self, idx: usize) -> &mut Expr {
-        fn walk<'a>(e: &'a mut Expr, idx: &mut usize) -> Option<&'a mut Expr> {
-            if *idx == 0 {
-                return Some(e);
-            }
-            *idx -= 1;
-            match e {
-                Expr::Const(_) | Expr::Var(_) => None,
-                Expr::Unary(_, a) => walk(a, idx),
-                Expr::Binary(_, a, b) => walk(a, idx).or_else(|| walk(b, idx)),
-            }
-        }
-        let mut i = idx;
-        walk(self, &mut i).expect("node index within tree size")
-    }
-
-    /// Returns a clone of the `idx`-th node in pre-order.
-    pub(crate) fn node(&self, idx: usize) -> &Expr {
-        fn walk<'a>(e: &'a Expr, idx: &mut usize) -> Option<&'a Expr> {
-            if *idx == 0 {
-                return Some(e);
-            }
-            *idx -= 1;
-            match e {
-                Expr::Const(_) | Expr::Var(_) => None,
-                Expr::Unary(_, a) => walk(a, idx),
-                Expr::Binary(_, a, b) => walk(a, idx).or_else(|| walk(b, idx)),
-            }
-        }
-        let mut i = idx;
-        walk(self, &mut i).expect("node index within tree size")
-    }
-
-    /// Collects mutable references to every constant leaf.
-    pub(crate) fn constants_mut(&mut self) -> Vec<&mut f64> {
-        let mut out = Vec::new();
-        fn walk<'a>(e: &'a mut Expr, out: &mut Vec<&'a mut f64>) {
-            match e {
-                Expr::Const(c) => out.push(c),
-                Expr::Var(_) => {}
-                Expr::Unary(_, a) => walk(a, out),
-                Expr::Binary(_, a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-            }
-        }
-        walk(self, &mut out);
-        out
-    }
-
     /// Algebraic simplification: constant folding plus the standard
     /// identities (`x+0`, `x*1`, `x*0`, `x-x`, `neg(neg(x))`, `x/1`).
     /// Simplification is purely cosmetic — the engine applies it only to
@@ -299,84 +214,6 @@ impl Expr {
             }
         }
     }
-
-    /// Generates a random tree with the *full* method: every branch reaches
-    /// exactly `depth`.
-    pub fn random_full(
-        rng: &mut StdRng,
-        depth: usize,
-        n_vars: usize,
-        unary: &[UnaryOp],
-        binary: &[BinaryOp],
-        const_range: (f64, f64),
-    ) -> Expr {
-        if depth <= 1 {
-            return Expr::random_leaf(rng, n_vars, const_range);
-        }
-        // Prefer binary nodes: they grow expressive power fastest.
-        if !binary.is_empty() && (unary.is_empty() || rng.gen_bool(0.75)) {
-            let op = *binary.choose(rng).expect("non-empty binary set");
-            Expr::Binary(
-                op,
-                Box::new(Expr::random_full(rng, depth - 1, n_vars, unary, binary, const_range)),
-                Box::new(Expr::random_full(rng, depth - 1, n_vars, unary, binary, const_range)),
-            )
-        } else if !unary.is_empty() {
-            let op = *unary.choose(rng).expect("non-empty unary set");
-            Expr::Unary(
-                op,
-                Box::new(Expr::random_full(rng, depth - 1, n_vars, unary, binary, const_range)),
-            )
-        } else {
-            Expr::random_leaf(rng, n_vars, const_range)
-        }
-    }
-
-    /// Generates a random tree with the *grow* method: branches may stop
-    /// early at leaves.
-    pub fn random_grow(
-        rng: &mut StdRng,
-        depth: usize,
-        n_vars: usize,
-        unary: &[UnaryOp],
-        binary: &[BinaryOp],
-        const_range: (f64, f64),
-    ) -> Expr {
-        if depth <= 1 || rng.gen_bool(0.3) {
-            return Expr::random_leaf(rng, n_vars, const_range);
-        }
-        if !binary.is_empty() && (unary.is_empty() || rng.gen_bool(0.75)) {
-            let op = *binary.choose(rng).expect("non-empty binary set");
-            Expr::Binary(
-                op,
-                Box::new(Expr::random_grow(rng, depth - 1, n_vars, unary, binary, const_range)),
-                Box::new(Expr::random_grow(rng, depth - 1, n_vars, unary, binary, const_range)),
-            )
-        } else if !unary.is_empty() {
-            let op = *unary.choose(rng).expect("non-empty unary set");
-            Expr::Unary(
-                op,
-                Box::new(Expr::random_grow(rng, depth - 1, n_vars, unary, binary, const_range)),
-            )
-        } else {
-            Expr::random_leaf(rng, n_vars, const_range)
-        }
-    }
-
-    /// Generates a random terminal: a variable (preferred) or a constant.
-    pub fn random_leaf(rng: &mut StdRng, n_vars: usize, const_range: (f64, f64)) -> Expr {
-        if n_vars > 0 && rng.gen_bool(0.6) {
-            Expr::Var(rng.gen_range(0..n_vars))
-        } else {
-            Expr::Const(round3(rng.gen_range(const_range.0..=const_range.1)))
-        }
-    }
-}
-
-/// Rounds to three decimals — keeps printed formulas readable without
-/// meaningfully constraining the search.
-fn round3(v: f64) -> f64 {
-    (v * 1000.0).round() / 1000.0
 }
 
 impl fmt::Display for Expr {
@@ -396,6 +233,9 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::genome::{self, Node};
+    use crate::FunctionSet;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn x0() -> Expr {
@@ -434,8 +274,7 @@ mod tests {
         );
         assert_eq!(e.eval(&[26.0, 240.0]), 64.0 * 26.0 + 0.25 * 240.0);
         assert_eq!(e.size(), 7);
-        assert_eq!(e.depth(), 3);
-        assert_eq!(e.variables(), vec![0, 1]);
+        assert_eq!(genome::depth(&e.to_nodes()), 3);
     }
 
     #[test]
@@ -473,11 +312,17 @@ mod tests {
         assert_eq!(times_zero.simplify(), Expr::Const(0.0));
     }
 
+    fn random(seed: u64, depth: usize, full: bool) -> Vec<Node> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut nodes = Vec::new();
+        genome::random(&mut rng, depth, full, 2, &FunctionSet::full(), (-10.0, 10.0), &mut nodes);
+        nodes
+    }
+
     #[test]
     fn simplify_preserves_semantics() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..200 {
-            let e = Expr::random_grow(&mut rng, 5, 2, &UnaryOp::ALL, &BinaryOp::ALL, (-10.0, 10.0));
+        for seed in 0..200 {
+            let e = Expr::from_nodes(&random(seed, 5, false));
             let s = e.simplify();
             for sample in [[0.5, 2.0], [3.0, -1.0], [10.0, 7.5]] {
                 let a = e.eval(&sample);
@@ -492,20 +337,15 @@ mod tests {
 
     #[test]
     fn full_trees_reach_requested_depth() {
-        let mut rng = StdRng::seed_from_u64(1);
         for depth in 2..6 {
-            let e =
-                Expr::random_full(&mut rng, depth, 2, &UnaryOp::ALL, &BinaryOp::ALL, (-1.0, 1.0));
-            assert_eq!(e.depth(), depth);
+            assert_eq!(genome::depth(&random(depth as u64, depth, true)), depth);
         }
     }
 
     #[test]
     fn grow_trees_respect_depth_bound() {
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..50 {
-            let e = Expr::random_grow(&mut rng, 4, 2, &UnaryOp::ALL, &BinaryOp::ALL, (-1.0, 1.0));
-            assert!(e.depth() <= 4);
+        for seed in 0..50 {
+            assert!(genome::depth(&random(seed, 4, false)) <= 4);
         }
     }
 
@@ -516,12 +356,14 @@ mod tests {
             Box::new(Expr::Unary(UnaryOp::Sqrt, Box::new(x0()))),
             Box::new(Expr::Const(2.0)),
         );
-        assert_eq!(e.size(), 4);
-        let mut seen = Vec::new();
-        for i in 0..e.size() {
-            seen.push(format!("{}", e.node(i)));
-        }
+        let nodes = e.to_nodes();
+        assert_eq!(nodes.len(), e.size());
+        // Node `i` in pre-order roots the contiguous subtree `i..end`.
+        let seen: Vec<String> = (0..nodes.len())
+            .map(|i| Expr::from_nodes(&nodes[i..genome::subtree_end(&nodes, i)]).to_string())
+            .collect();
         assert_eq!(seen, vec!["(sqrt(X0) + 2)", "sqrt(X0)", "X0", "2"]);
+        assert_eq!(genome::depth(&nodes), 3);
     }
 
     #[test]

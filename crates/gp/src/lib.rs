@@ -11,7 +11,9 @@
 //!   value, negation, maximum, minimum, sine, cosine, tangent, inverse),
 //!   with *protected* versions of the partial functions;
 //! * ramped half-and-half initialization, tournament selection, subtree
-//!   crossover, and subtree/hoist/point mutation in [`SymbolicRegressor`];
+//!   crossover, and subtree/hoist/point mutation in [`SymbolicRegressor`],
+//!   breeding flat pre-order genomes ([`genome`], gplearn's program
+//!   layout) by slice splices;
 //! * both of the paper's stopping criteria — generation budget and fitness
 //!   threshold (§3.5);
 //! * the paper's Tab. 2 **pre-scaling of the data set and post-processing
@@ -20,9 +22,9 @@
 //! * a constant-polishing hill climb that refines numeric leaves of the
 //!   winning expression (the GP analogue of gplearn's final tuning).
 //!
-//! Fitness scoring — the dominant cost at the paper's 1000 × 30 budget —
-//! runs through [`CompiledExpr`], a postfix-bytecode compilation of the
-//! expression tree evaluated batch-wise over the whole data set, and is
+//! Fitness scoring runs through [`CompiledExpr`], a postfix-bytecode
+//! compilation of each structurally distinct genome evaluated batch-wise
+//! over the whole data set, and is
 //! one `par_map` over the [`dpr_par`] worker pool (`DPR_THREADS`). In the
 //! pipeline whole fits already run in parallel, one per sensor, so that
 //! call is nested and drains inline. Both are bit-identical to the naive
@@ -56,6 +58,7 @@ pub mod dedup;
 mod engine;
 pub mod expr;
 mod fitness;
+pub mod genome;
 mod model;
 mod refit;
 pub mod scaling;
@@ -65,4 +68,5 @@ pub use dataset::{Dataset, DatasetError};
 pub use engine::{FunctionSet, GpConfig, GpReport, SymbolicRegressor};
 pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use fitness::Metric;
+pub use genome::Node;
 pub use model::FittedModel;
