@@ -295,7 +295,7 @@ fn bench_isotp_reassembly(c: &mut Criterion) {
             IsoTpStreamDecoder::new,
             |mut decoder| {
                 for f in &frames {
-                    decoder.push(black_box(f));
+                    let _ = decoder.push(black_box(f));
                 }
                 decoder.drain()
             },

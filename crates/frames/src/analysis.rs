@@ -62,20 +62,31 @@ impl AnyDecoder {
         }
     }
 
+    /// Feeds one frame and drains the payloads it completed. A refused
+    /// frame needs no handling here: the decoder has booked the reject
+    /// and stays usable.
     fn push(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
         match self {
             AnyDecoder::IsoTp(d) => {
-                d.push(data);
+                let _ = d.push(data);
                 d.drain()
             }
             AnyDecoder::VwTp(d) => {
-                d.push(data);
+                let _ = d.push(data);
                 d.drain()
             }
             AnyDecoder::Bmw(d) => {
                 d.push(data);
                 d.drain()
             }
+        }
+    }
+
+    fn in_progress(&self) -> bool {
+        match self {
+            AnyDecoder::IsoTp(d) => d.in_progress(),
+            AnyDecoder::VwTp(d) => d.in_progress(),
+            AnyDecoder::Bmw(d) => d.in_progress(),
         }
     }
 }
@@ -106,32 +117,38 @@ fn record_screen_reject(scheme: Scheme, id: CanId, at: Micros) {
     }
 }
 
-/// Classifies one frame for the screening tally. Returns whether the
-/// frame should be fed to the assembler.
-fn screen(scheme: Scheme, id: CanId, data: &[u8], stats: &mut FrameStats) -> bool {
+/// Classifies one frame for the screening tally. Returns `None` for a
+/// frame the assembler should not see, else `Some(opens)`: whether the
+/// frame opens a new message (an ISO-TP SF or FF), abandoning whatever
+/// its id had in flight.
+fn screen(scheme: Scheme, id: CanId, data: &[u8], stats: &mut FrameStats) -> Option<bool> {
     match scheme {
         Scheme::IsoTp => match IsoTpFrame::parse(data) {
             Ok(IsoTpFrame::Single { .. }) => {
                 stats.single += 1;
-                true
+                Some(true)
             }
-            Ok(IsoTpFrame::First { .. } | IsoTpFrame::Consecutive { .. }) => {
+            Ok(IsoTpFrame::First { .. }) => {
                 stats.multi += 1;
-                true
+                Some(true)
+            }
+            Ok(IsoTpFrame::Consecutive { .. }) => {
+                stats.multi += 1;
+                Some(false)
             }
             Ok(IsoTpFrame::FlowControl { .. }) => {
                 stats.control += 1;
-                false
+                None
             }
             Err(_) => {
                 stats.unknown += 1;
-                false
+                None
             }
         },
         Scheme::VwTp => {
             if id.raw() == u32::from(vwtp::SETUP_BROADCAST_ID) {
                 stats.control += 1;
-                return false;
+                return None;
             }
             match data.first().and_then(|&b| VwOpcode::from_first_byte(b)) {
                 Some(op) if op.is_data() => {
@@ -140,22 +157,22 @@ fn screen(scheme: Scheme, id: CanId, data: &[u8], stats: &mut FrameStats) -> boo
                     } else {
                         stats.multi += 1;
                     }
-                    true
+                    Some(false)
                 }
                 Some(_) => {
                     stats.control += 1;
-                    false
+                    None
                 }
                 None => {
                     stats.unknown += 1;
-                    false
+                    None
                 }
             }
         }
         Scheme::BmwRaw => {
             if data.len() < 2 {
                 stats.unknown += 1;
-                false
+                None
             } else {
                 // Without a length field every raw frame is potentially
                 // part of a longer message; tally by whether it opens a
@@ -166,7 +183,7 @@ fn screen(scheme: Scheme, id: CanId, data: &[u8], stats: &mut FrameStats) -> boo
                 } else {
                     stats.multi += 1;
                 }
-                true
+                Some(false)
             }
         }
     }
@@ -249,19 +266,31 @@ pub fn analyze_capture(log: &BusLog, scheme: Scheme) -> CaptureAnalysis {
         let id = entry.frame.id();
         let data = entry.frame.data();
         let unknown_before = stats.unknown;
-        if !screen(scheme, id, data, &mut stats) {
+        let Some(opens) = screen(scheme, id, data, &mut stats) else {
             if evidence && stats.unknown > unknown_before {
                 record_screen_reject(scheme, id, entry.at);
             }
             continue;
-        }
+        };
         let decoder = decoders
             .entry(id)
             .or_insert_with(|| AnyDecoder::new(scheme));
         if evidence {
-            pending_frames.entry(id).or_default().push(entry.at.as_micros());
+            let pending = pending_frames.entry(id).or_default();
+            if opens {
+                // Whatever was in flight is abandoned; its frames fed
+                // no payload.
+                pending.clear();
+            }
+            pending.push(entry.at.as_micros());
         }
-        for (nth, payload) in decoder.push(data).into_iter().enumerate() {
+        let payloads = decoder.push(data);
+        if evidence && payloads.is_empty() && !decoder.in_progress() {
+            // The transfer was rejected or discarded: nothing pending
+            // belongs to a later payload.
+            pending_frames.entry(id).or_default().clear();
+        }
+        for (nth, payload) in payloads.into_iter().enumerate() {
             if evidence {
                 // The accumulated frames fed the first payload this
                 // frame completed; a rare second payload in the same
@@ -390,6 +419,56 @@ mod tests {
         let analysis = analyze_capture(&log, Scheme::IsoTp);
         assert_eq!(analysis.stats.unknown, 1);
         assert!(analysis.messages.is_empty());
+    }
+
+    /// The frame times an evidence capture attributes to each payload.
+    fn provenance(log: &BusLog, scheme: Scheme) -> Vec<Vec<u64>> {
+        let (_, events) = dpr_evidence::capture(|| analyze_capture(log, scheme));
+        events
+            .into_iter()
+            .filter_map(|event| match event {
+                dpr_evidence::Event::Reassembled(r) => Some(r.frame_times_us),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Frames of a transfer that was rejected, superseded or discarded
+    /// are not listed as feeding the next payload on their id.
+    #[test]
+    fn provenance_skips_abandoned_transfers() {
+        let id = CanId::standard(0x7E8).unwrap();
+        let mut log = BusLog::new();
+        let frames: [(u64, &[u8]); 8] = [
+            // A sequence gap drops the first transfer...
+            (10, &[0x10, 20, 1, 2, 3, 4, 5, 6]),
+            (20, &[0x23, 9, 9, 9, 9, 9, 9, 9]),
+            (30, &[0x10, 8, 1, 2, 3, 4, 5, 6]),
+            (40, &[0x21, 7, 8, 0x55, 0x55, 0x55, 0x55, 0x55]),
+            // ...and an FF supersedes the open third one.
+            (50, &[0x10, 20, 1, 2, 3, 4, 5, 6]),
+            (60, &[0x21, 7, 8, 9, 10, 11, 12, 13]),
+            (70, &[0x10, 8, 1, 2, 3, 4, 5, 6]),
+            (80, &[0x21, 7, 8, 0x55, 0x55, 0x55, 0x55, 0x55]),
+        ];
+        for (at, data) in frames {
+            log.record(Micros::from_micros(at), CanFrame::new(id, data).unwrap());
+        }
+        assert_eq!(provenance(&log, Scheme::IsoTp), vec![vec![30, 40], vec![70, 80]]);
+
+        // A VW TP message that overflows is discarded up to its last frame.
+        let id = CanId::standard(0x300).unwrap();
+        let mut log = BusLog::new();
+        let flood = dpr_transport::vwtp::MAX_VWTP_PAYLOAD / 7 + 1;
+        for i in 0..flood {
+            let data = [0x20 | (i & 0x0F) as u8, 1, 2, 3, 4, 5, 6, 7];
+            log.record(Micros::from_micros(i as u64), CanFrame::new(id, &data).unwrap());
+        }
+        let at = flood as u64;
+        log.record(Micros::from_micros(at), CanFrame::new(id, &[0x30, 8]).unwrap());
+        log.record(Micros::from_micros(at + 1), CanFrame::new(id, &[0x21, 0x61]).unwrap());
+        log.record(Micros::from_micros(at + 2), CanFrame::new(id, &[0x32, 0x01]).unwrap());
+        assert_eq!(provenance(&log, Scheme::VwTp), vec![vec![at + 1, at + 2]]);
     }
 
     #[test]

@@ -99,13 +99,14 @@ pub fn pump(
 mod tests {
     use super::*;
     use dpr_can::CanId;
+    use std::collections::VecDeque;
 
     /// A trivial endpoint that sends each payload as one raw frame.
     struct RawEndpoint {
         tx: CanId,
         rx: CanId,
         queue: Vec<OutgoingFrame>,
-        received: Vec<Vec<u8>>,
+        received: VecDeque<Vec<u8>>,
     }
 
     impl RawEndpoint {
@@ -114,7 +115,7 @@ mod tests {
                 tx,
                 rx,
                 queue: Vec::new(),
-                received: Vec::new(),
+                received: VecDeque::new(),
             }
         }
     }
@@ -139,7 +140,7 @@ mod tests {
 
         fn handle_frame(&mut self, frame: &CanFrame, _now: Micros) -> Result<(), TransportError> {
             if frame.id() == self.rx {
-                self.received.push(frame.data().to_vec());
+                self.received.push_back(frame.data().to_vec());
             }
             Ok(())
         }
@@ -149,11 +150,7 @@ mod tests {
         }
 
         fn receive(&mut self) -> Option<Vec<u8>> {
-            if self.received.is_empty() {
-                None
-            } else {
-                Some(self.received.remove(0))
-            }
+            self.received.pop_front()
         }
 
         fn is_active(&self) -> bool {

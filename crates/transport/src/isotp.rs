@@ -2,9 +2,10 @@
 //!
 //! Implements the four frame types of the paper's Fig. 7 — single frame
 //! (SF), first frame (FF), consecutive frame (CF), and flow control (FC) —
-//! the sender/receiver state machines with block-size and STmin pacing, and
-//! an offline [`IsoTpStreamDecoder`] that reassembles payloads from a
-//! sniffed capture (the paper's "Step 2: Assembling Payload").
+//! the [`IsoTpStreamDecoder`] that reassembles payloads from a sniffed
+//! capture (the paper's "Step 2: Assembling Payload"), and a live
+//! [`IsoTpEndpoint`] that receives through that decoder and adds the
+//! sender and flow control with block-size and STmin pacing.
 
 use std::collections::VecDeque;
 
@@ -274,19 +275,13 @@ enum SendState {
     },
 }
 
-#[derive(Debug)]
-enum RecvState {
-    Idle,
-    Receiving {
-        total_len: usize,
-        buf: Vec<u8>,
-        next_seq: u8,
-        cf_in_block: u8,
-    },
-}
-
 /// A live ISO-TP endpoint: segments outgoing payloads and reassembles
 /// incoming ones, honouring flow control.
+///
+/// Reassembly is the sniffer's: incoming SF/FF/CF frames go through an
+/// [`IsoTpStreamDecoder`], and the endpoint adds only the receiver's
+/// flow control — a CTS after the FF and after every block, or OVFLW
+/// for an FF longer than [`IsoTpConfig::max_receive`].
 ///
 /// The endpoint transmits on `tx_id` and listens on `rx_id`; all other
 /// identifiers are ignored, so many endpoints can share one bus.
@@ -296,9 +291,10 @@ pub struct IsoTpEndpoint {
     rx_id: CanId,
     config: IsoTpConfig,
     send: SendState,
-    recv: RecvState,
+    recv: IsoTpStreamDecoder,
+    /// CFs received since the last CTS, for block-size pacing.
+    cf_in_block: u8,
     out_queue: Vec<OutgoingFrame>,
-    received: Vec<Vec<u8>>,
 }
 
 impl IsoTpEndpoint {
@@ -315,9 +311,9 @@ impl IsoTpEndpoint {
             rx_id,
             config,
             send: SendState::Idle,
-            recv: RecvState::Idle,
+            recv: IsoTpStreamDecoder::new(),
+            cf_in_block: 0,
             out_queue: Vec::new(),
-            received: Vec::new(),
         }
     }
 
@@ -351,9 +347,9 @@ impl IsoTpEndpoint {
         start: Micros,
     ) -> (usize, u8) {
         let mut at = start;
-        let mut sent_in_block = 0u8;
+        let mut sent_in_block = 0usize;
         while offset < payload.len() {
-            if block_size != 0 && sent_in_block == block_size {
+            if block_size != 0 && sent_in_block == usize::from(block_size) {
                 break;
             }
             let end = (offset + CF_PAYLOAD).min(payload.len());
@@ -424,28 +420,7 @@ impl IsoTpEndpoint {
         }
     }
 
-    fn on_first(&mut self, total_len: u16, data: Vec<u8>, now: Micros) {
-        let announce = usize::from(total_len);
-        if announce > self.config.max_receive {
-            self.queue(
-                now,
-                IsoTpFrame::FlowControl {
-                    status: FlowStatus::Overflow,
-                    block_size: 0,
-                    st_min: StMin::ZERO,
-                },
-            );
-            self.recv = RecvState::Idle;
-            return;
-        }
-        let mut buf = Vec::with_capacity(announce);
-        buf.extend_from_slice(&data[..FF_PAYLOAD.min(data.len())]);
-        self.recv = RecvState::Receiving {
-            total_len: announce,
-            buf,
-            next_seq: 1,
-            cf_in_block: 0,
-        };
+    fn clear_to_send(&mut self, now: Micros) {
         self.queue(
             now,
             IsoTpFrame::FlowControl {
@@ -454,55 +429,6 @@ impl IsoTpEndpoint {
                 st_min: self.config.st_min,
             },
         );
-    }
-
-    fn on_consecutive(&mut self, seq: u8, data: Vec<u8>, now: Micros) -> Result<(), TransportError> {
-        let RecvState::Receiving {
-            total_len,
-            mut buf,
-            next_seq,
-            mut cf_in_block,
-        } = std::mem::replace(&mut self.recv, RecvState::Idle)
-        else {
-            return Err(TransportError::UnexpectedFrame {
-                kind: "consecutive",
-                state: "idle receiver",
-            });
-        };
-        if seq != next_seq {
-            crate::reject("isotp", "sequence_mismatch");
-            return Err(TransportError::SequenceMismatch {
-                expected: next_seq,
-                got: seq,
-            });
-        }
-        let remaining = total_len - buf.len();
-        buf.extend_from_slice(&data[..remaining.min(data.len())]);
-        if buf.len() >= total_len {
-            dpr_telemetry::counter("transport.isotp.reassembled").inc(1);
-            dpr_telemetry::histogram("transport.isotp.sdu_bytes").record(buf.len() as f64);
-            self.received.push(buf);
-            return Ok(());
-        }
-        cf_in_block += 1;
-        if self.config.block_size != 0 && cf_in_block == self.config.block_size {
-            cf_in_block = 0;
-            self.queue(
-                now,
-                IsoTpFrame::FlowControl {
-                    status: FlowStatus::ContinueToSend,
-                    block_size: self.config.block_size,
-                    st_min: self.config.st_min,
-                },
-            );
-        }
-        self.recv = RecvState::Receiving {
-            total_len,
-            buf,
-            next_seq: (seq + 1) & 0x0F,
-            cf_in_block,
-        };
-        Ok(())
     }
 
     /// Checks the sender's FC timer; call periodically in long simulations.
@@ -565,23 +491,42 @@ impl Endpoint for IsoTpEndpoint {
         if frame.id() != self.rx_id {
             return Ok(());
         }
-        match IsoTpFrame::parse(frame.data())? {
-            IsoTpFrame::Single { data } => {
-                dpr_telemetry::counter("transport.isotp.reassembled").inc(1);
-                dpr_telemetry::histogram("transport.isotp.sdu_bytes").record(data.len() as f64);
-                self.received.push(data);
-                Ok(())
-            }
-            IsoTpFrame::First { total_len, data } => {
-                self.on_first(total_len, data, now);
-                Ok(())
-            }
-            IsoTpFrame::Consecutive { seq, data } => self.on_consecutive(seq, data, now),
-            IsoTpFrame::FlowControl {
+        match IsoTpFrame::parse(frame.data()) {
+            Ok(IsoTpFrame::FlowControl {
                 status,
                 block_size,
                 st_min,
-            } => self.on_flow_control(status, block_size, st_min, now),
+            }) => self.on_flow_control(status, block_size, st_min, now),
+            Ok(IsoTpFrame::First { total_len, .. })
+                if usize::from(total_len) > self.config.max_receive =>
+            {
+                self.recv.supersede();
+                self.queue(
+                    now,
+                    IsoTpFrame::FlowControl {
+                        status: FlowStatus::Overflow,
+                        block_size: 0,
+                        st_min: StMin::ZERO,
+                    },
+                );
+                Ok(())
+            }
+            parsed => {
+                let first = matches!(parsed, Ok(IsoTpFrame::First { .. }));
+                self.recv.push_parsed(parsed)?;
+                if first {
+                    self.cf_in_block = 0;
+                    self.clear_to_send(now);
+                } else if self.config.block_size != 0 && self.recv.in_progress() {
+                    // A CF that did not complete the message.
+                    self.cf_in_block += 1;
+                    if self.cf_in_block == self.config.block_size {
+                        self.cf_in_block = 0;
+                        self.clear_to_send(now);
+                    }
+                }
+                Ok(())
+            }
         }
     }
 
@@ -590,17 +535,13 @@ impl Endpoint for IsoTpEndpoint {
     }
 
     fn receive(&mut self) -> Option<Vec<u8>> {
-        if self.received.is_empty() {
-            None
-        } else {
-            Some(self.received.remove(0))
-        }
+        self.recv.pop()
     }
 
     fn is_active(&self) -> bool {
         !self.out_queue.is_empty()
             || !matches!(self.send, SendState::Idle)
-            || !matches!(self.recv, RecvState::Idle)
+            || self.recv.in_progress()
     }
 }
 
@@ -610,9 +551,16 @@ impl Endpoint for IsoTpEndpoint {
 /// flow control (the live peers did that); it only watches SF/FF/CF frames
 /// of a single CAN id and emits completed payloads. Malformed or
 /// out-of-sequence input aborts the in-progress message but keeps the
-/// decoder usable — a sniffer must survive mid-capture glitches.
+/// decoder usable — a sniffer must survive mid-capture glitches. An SF or
+/// FF arriving mid-transfer aborts it too, as ISO 15765-2 specifies, and
+/// is counted `superseded`.
+///
+/// [`IsoTpEndpoint`] receives through this decoder as well, so live and
+/// offline reassembly are one code path.
 #[derive(Debug, Default)]
 pub struct IsoTpStreamDecoder {
+    /// The open transfer: announced length, bytes so far, next sequence
+    /// number.
     state: Option<(usize, Vec<u8>, u8)>,
     complete: VecDeque<Vec<u8>>,
 }
@@ -627,51 +575,74 @@ impl IsoTpStreamDecoder {
     ///
     /// Flow-control frames are ignored (the screening step normally removes
     /// them, but tolerating them makes the decoder robust).
-    pub fn push(&mut self, data: &[u8]) {
-        let Ok(frame) = IsoTpFrame::parse(data) else {
-            if self.state.take().is_some() {
-                crate::reject("isotp", "superseded");
-            }
-            crate::reject("isotp", "malformed_frame");
-            return;
-        };
+    ///
+    /// # Errors
+    ///
+    /// Says why a frame was refused: [`TransportError::MalformedFrame`]
+    /// for bytes that do not parse, [`TransportError::SequenceMismatch`]
+    /// for a CF out of order (both drop the open transfer), and
+    /// [`TransportError::UnexpectedFrame`] for a CF with no transfer open.
+    /// The decoder stays usable either way, so a sniffer may ignore it.
+    pub fn push(&mut self, data: &[u8]) -> Result<(), TransportError> {
+        self.push_parsed(IsoTpFrame::parse(data))
+    }
+
+    /// [`push`](Self::push) for a frame the caller already parsed.
+    pub(crate) fn push_parsed(
+        &mut self,
+        frame: Result<IsoTpFrame, TransportError>,
+    ) -> Result<(), TransportError> {
         match frame {
-            IsoTpFrame::Single { data } => {
-                if self.state.take().is_some() {
-                    crate::reject("isotp", "superseded");
-                }
-                dpr_telemetry::counter("transport.isotp.reassembled").inc(1);
-                dpr_telemetry::histogram("transport.isotp.sdu_bytes").record(data.len() as f64);
-                self.complete.push_back(data);
+            Err(err) => {
+                self.supersede();
+                crate::reject("isotp", "malformed_frame");
+                return Err(err);
             }
-            IsoTpFrame::First { total_len, data } => {
-                if self.state.is_some() {
-                    crate::reject("isotp", "superseded");
-                }
+            Ok(IsoTpFrame::Single { data }) => {
+                self.supersede();
+                self.deliver(data);
+            }
+            Ok(IsoTpFrame::First { total_len, data }) => {
+                self.supersede();
                 let mut buf = Vec::with_capacity(usize::from(total_len));
                 buf.extend_from_slice(&data[..FF_PAYLOAD.min(data.len())]);
                 self.state = Some((usize::from(total_len), buf, 1));
             }
-            IsoTpFrame::Consecutive { seq, data } => {
-                if let Some((total, mut buf, expect)) = self.state.take() {
-                    if seq != expect {
-                        crate::reject("isotp", "sequence_mismatch");
-                        return; // drop the damaged message
-                    }
-                    let remaining = total - buf.len();
-                    buf.extend_from_slice(&data[..remaining.min(data.len())]);
-                    if buf.len() >= total {
-                        dpr_telemetry::counter("transport.isotp.reassembled").inc(1);
-                        dpr_telemetry::histogram("transport.isotp.sdu_bytes")
-                            .record(buf.len() as f64);
-                        self.complete.push_back(buf);
-                    } else {
-                        self.state = Some((total, buf, (seq + 1) & 0x0F));
-                    }
+            Ok(IsoTpFrame::Consecutive { seq, data }) => {
+                let Some((total, mut buf, expected)) = self.state.take() else {
+                    return Err(TransportError::UnexpectedFrame {
+                        kind: "consecutive",
+                        state: "idle receiver",
+                    });
+                };
+                if seq != expected {
+                    crate::reject("isotp", "sequence_mismatch");
+                    return Err(TransportError::SequenceMismatch { expected, got: seq });
+                }
+                let remaining = total - buf.len();
+                buf.extend_from_slice(&data[..remaining.min(data.len())]);
+                if buf.len() >= total {
+                    self.deliver(buf);
+                } else {
+                    self.state = Some((total, buf, (seq + 1) & 0x0F));
                 }
             }
-            IsoTpFrame::FlowControl { .. } => {}
+            Ok(IsoTpFrame::FlowControl { .. }) => {}
         }
+        Ok(())
+    }
+
+    /// Drops the open transfer, if any, counting it `superseded`.
+    pub(crate) fn supersede(&mut self) {
+        if self.state.take().is_some() {
+            crate::reject("isotp", "superseded");
+        }
+    }
+
+    fn deliver(&mut self, payload: Vec<u8>) {
+        dpr_telemetry::counter("transport.isotp.reassembled").inc(1);
+        dpr_telemetry::histogram("transport.isotp.sdu_bytes").record(payload.len() as f64);
+        self.complete.push_back(payload);
     }
 
     /// Pops the next completed payload.
@@ -752,6 +723,29 @@ mod tests {
         let payload = vec![0xAB; MAX_ISOTP_PAYLOAD];
         let (got, _) = round_trip(&payload);
         assert_eq!(got.len(), MAX_ISOTP_PAYLOAD);
+    }
+
+    /// Block size 0 means "no further FC": neither side may count CFs in
+    /// a `u8` towards a block that never closes (585 CFs here).
+    #[test]
+    fn unlimited_block_size_receives_max_payload() {
+        let (req, rsp) = ids();
+        let mut bus = CanBus::new();
+        let tn = bus.attach("tool");
+        let en = bus.attach("ecu");
+        let mut tool = IsoTpEndpoint::new(req, rsp);
+        let mut ecu = IsoTpEndpoint::with_config(
+            rsp,
+            req,
+            IsoTpConfig {
+                block_size: 0,
+                ..IsoTpConfig::default()
+            },
+        );
+        let payload = vec![0xAB; MAX_ISOTP_PAYLOAD];
+        tool.send(&payload, Micros::ZERO).unwrap();
+        pump(&mut bus, &mut [(tn, &mut tool), (en, &mut ecu)]).unwrap();
+        assert_eq!(ecu.receive(), Some(payload));
     }
 
     #[test]
@@ -914,7 +908,7 @@ mod tests {
 
         let mut decoder = IsoTpStreamDecoder::new();
         for entry in bus.log().frames_with_id(req) {
-            decoder.push(entry.frame.data());
+            decoder.push(entry.frame.data()).unwrap();
         }
         assert_eq!(decoder.pop(), Some(payload));
         assert!(!decoder.in_progress());
@@ -924,19 +918,48 @@ mod tests {
     fn stream_decoder_survives_sequence_gap() {
         let mut decoder = IsoTpStreamDecoder::new();
         // FF announcing 20 bytes, then a CF with the wrong sequence.
-        decoder.push(&[0x10, 20, 1, 2, 3, 4, 5, 6]);
-        decoder.push(&[0x23, 9, 9, 9, 9, 9, 9, 9]); // expected seq 1, got 3
+        decoder.push(&[0x10, 20, 1, 2, 3, 4, 5, 6]).unwrap();
+        assert_eq!(
+            decoder.push(&[0x23, 9, 9, 9, 9, 9, 9, 9]), // expected seq 1, got 3
+            Err(TransportError::SequenceMismatch { expected: 1, got: 3 })
+        );
         assert!(decoder.pop().is_none());
+        assert!(!decoder.in_progress());
         // A fresh single frame still decodes.
-        decoder.push(&[0x02, 0xAA, 0xBB]);
+        decoder.push(&[0x02, 0xAA, 0xBB]).unwrap();
         assert_eq!(decoder.pop(), Some(vec![0xAA, 0xBB]));
     }
 
     #[test]
     fn stream_decoder_ignores_flow_control() {
         let mut decoder = IsoTpStreamDecoder::new();
-        decoder.push(&[0x30, 0, 0]);
-        decoder.push(&[0x01, 0x3E]);
+        decoder.push(&[0x30, 0, 0]).unwrap();
+        decoder.push(&[0x01, 0x3E]).unwrap();
         assert_eq!(decoder.pop(), Some(vec![0x3E]));
+    }
+
+    /// An SF or a malformed frame in the middle of a transfer aborts it on
+    /// the live endpoint, as in the sniffer: the stale CFs that follow
+    /// are refused instead of being spliced onto a later message.
+    #[test]
+    fn live_receiver_drops_a_transfer_interrupted_mid_way() {
+        let (req, rsp) = ids();
+        let frame = |data: &[u8]| CanFrame::new(req, data).unwrap();
+        for interruption in [&[0x01, 0x3E][..], &[0x40, 0, 0][..]] {
+            let mut ecu = IsoTpEndpoint::new(rsp, req);
+            ecu.handle_frame(&frame(&[0x10, 20, 1, 2, 3, 4, 5, 6]), Micros::ZERO)
+                .unwrap();
+            assert!(ecu.is_active());
+            let _ = ecu.handle_frame(&frame(interruption), Micros::ZERO);
+            assert_eq!(
+                ecu.handle_frame(&frame(&[0x21, 7, 8, 9, 10, 11, 12, 13]), Micros::ZERO),
+                Err(TransportError::UnexpectedFrame {
+                    kind: "consecutive",
+                    state: "idle receiver"
+                })
+            );
+            let _ = ecu.outgoing(Micros::ZERO);
+            assert!(!ecu.is_active());
+        }
     }
 }

@@ -18,13 +18,19 @@
 //!   byte 0 of every frame is the target ECU id and the remaining bytes are
 //!   payload.
 //!
-//! Each scheme offers two faces:
+//! Each scheme has one reassembler, its *stream decoder*, which rebuilds
+//! payloads from a sniffed frame sequence — the code path the paper's
+//! "diagnostic frames analysis" module exercises (its Step 2). Each
+//! scheme offers it through two faces:
 //!
-//! * a live [`Endpoint`] state machine (segmentation, pacing, flow control)
-//!   used by the simulated vehicle and diagnostic tool, and
-//! * an offline *stream decoder* that reassembles payloads from a sniffed
-//!   frame sequence — the code path the paper's "diagnostic frames analysis"
-//!   module exercises (its Step 2).
+//! * the decoder itself, fed offline from a capture, and
+//! * a live [`Endpoint`] used by the simulated vehicle and diagnostic
+//!   tool: a protocol state machine (segmentation, pacing, ISO-TP flow
+//!   control, VW TP sequence checks and ACKs) wrapped around the
+//!   scheme's decoder, which does all of its receive-side assembly.
+//!
+//! Live and offline traffic are therefore reassembled, capped and
+//! rejected by the same code.
 //!
 //! # Example: ISO-TP round trip over a simulated bus
 //!

@@ -143,6 +143,10 @@ struct SendJob {
 /// The *initiator* side (the diagnostic tool) performs channel setup on
 /// first send; the *responder* side (the ECU) answers it. Data frames are
 /// paced by [`ACK_INTERVAL`]-sized blocks.
+///
+/// Incoming data frames are reassembled by a [`VwTpStreamDecoder`], the
+/// sniffer's; the endpoint adds the channel duties a sniffer lacks —
+/// checking each data frame's sequence number and sending the ACKs.
 #[derive(Debug)]
 pub struct VwTpEndpoint {
     tx_id: CanId,
@@ -153,9 +157,8 @@ pub struct VwTpEndpoint {
     tx_seq: u8,
     rx_seq: u8,
     job: Option<SendJob>,
-    assembling: Vec<u8>,
+    recv: VwTpStreamDecoder,
     out_queue: Vec<OutgoingFrame>,
-    received: Vec<Vec<u8>>,
 }
 
 impl VwTpEndpoint {
@@ -179,9 +182,8 @@ impl VwTpEndpoint {
             tx_seq: 0,
             rx_seq: 0,
             job: None,
-            assembling: Vec::new(),
+            recv: VwTpStreamDecoder::new(),
             out_queue: Vec::new(),
-            received: Vec::new(),
         }
     }
 
@@ -243,7 +245,8 @@ impl VwTpEndpoint {
         }
     }
 
-    fn handle_data(&mut self, op: VwOpcode, seq: u8, chunk: &[u8], now: Micros) -> Result<(), TransportError> {
+    fn handle_data(&mut self, op: VwOpcode, data: &[u8], now: Micros) -> Result<(), TransportError> {
+        let seq = data[0] & 0x0F;
         if seq != self.rx_seq {
             return Err(TransportError::SequenceMismatch {
                 expected: self.rx_seq,
@@ -251,21 +254,12 @@ impl VwTpEndpoint {
             });
         }
         self.rx_seq = (self.rx_seq + 1) & 0x0F;
-        self.assembling.extend_from_slice(chunk);
-        if self.assembling.len() > MAX_VWTP_PAYLOAD {
-            self.assembling.clear();
-            return Err(TransportError::Overflow);
-        }
+        self.recv.push(data)?;
         if op.expects_ack() {
             // ACK carries the next expected sequence number.
             let ack = [(0x9u8 << 4) | (self.rx_seq & 0x0F)];
             let id = self.tx_id;
             self.queue_raw(now, id, &ack);
-        }
-        if op.is_last() {
-            dpr_telemetry::counter("transport.vwtp.reassembled").inc(1);
-            dpr_telemetry::histogram("transport.vwtp.sdu_bytes").record(self.assembling.len() as f64);
-            self.received.push(std::mem::take(&mut self.assembling));
         }
         Ok(())
     }
@@ -377,9 +371,7 @@ impl Endpoint for VwTpEndpoint {
                 Ok(())
             }
             VwOpcode::ChannelSetupRequest => Ok(()),
-            data_op if data_op.is_data() => {
-                self.handle_data(data_op, first & 0x0F, &frame.data()[1..], now)
-            }
+            data_op if data_op.is_data() => self.handle_data(data_op, frame.data(), now),
             _ => Ok(()),
         }
     }
@@ -389,15 +381,11 @@ impl Endpoint for VwTpEndpoint {
     }
 
     fn receive(&mut self) -> Option<Vec<u8>> {
-        if self.received.is_empty() {
-            None
-        } else {
-            Some(self.received.remove(0))
-        }
+        self.recv.pop()
     }
 
     fn is_active(&self) -> bool {
-        !self.out_queue.is_empty() || self.job.is_some() || !self.assembling.is_empty()
+        !self.out_queue.is_empty() || self.job.is_some() || self.recv.in_progress()
     }
 }
 
@@ -409,10 +397,13 @@ impl Endpoint for VwTpEndpoint {
 /// frames are ignored (screening removes them anyway).
 ///
 /// With no length field, a stream of "more follows" frames never ends a
-/// message. A message that would grow past [`MAX_VWTP_PAYLOAD`] (the cap
-/// the live endpoint enforces) is dropped: the buffer is cleared, one
-/// `transport.vwtp.reject.overflow` is counted, and the rest of that
-/// message, up to its last frame, is discarded.
+/// message. A message that would grow past [`MAX_VWTP_PAYLOAD`] is
+/// dropped: the buffer is cleared, one `transport.vwtp.reject.overflow` is
+/// counted, and the rest of that message, up to its last frame, is
+/// discarded.
+///
+/// [`VwTpEndpoint`] receives through this decoder as well, so live and
+/// offline reassembly are one code path.
 #[derive(Debug, Default)]
 pub struct VwTpStreamDecoder {
     assembling: Vec<u8>,
@@ -428,27 +419,36 @@ impl VwTpStreamDecoder {
     }
 
     /// Feeds the data bytes of one sniffed frame from the watched direction.
-    pub fn push(&mut self, data: &[u8]) {
+    ///
+    /// # Errors
+    ///
+    /// Says why a frame was refused: [`TransportError::MalformedFrame`]
+    /// for an unknown opcode, and [`TransportError::Overflow`] for the
+    /// frame that pushed a message past [`MAX_VWTP_PAYLOAD`]. The decoder
+    /// stays usable either way, so a sniffer may ignore it.
+    pub fn push(&mut self, data: &[u8]) -> Result<(), TransportError> {
         let Some(&first) = data.first() else {
-            return;
+            return Ok(());
         };
         let Some(op) = VwOpcode::from_first_byte(first) else {
             crate::reject("vwtp", "malformed_frame");
-            return;
+            return Err(TransportError::MalformedFrame(format!(
+                "unknown VW TP opcode byte {first:#04x}"
+            )));
         };
         if !op.is_data() {
-            return;
+            return Ok(());
         }
         if self.overflowed {
             self.overflowed = !op.is_last();
-            return;
+            return Ok(());
         }
         let chunk = &data[1..];
         if self.assembling.len() + chunk.len() > MAX_VWTP_PAYLOAD {
             self.assembling.clear();
             crate::reject("vwtp", "overflow");
             self.overflowed = !op.is_last();
-            return;
+            return Err(TransportError::Overflow);
         }
         self.assembling.extend_from_slice(chunk);
         if op.is_last() {
@@ -456,6 +456,7 @@ impl VwTpStreamDecoder {
             dpr_telemetry::histogram("transport.vwtp.sdu_bytes").record(self.assembling.len() as f64);
             self.complete.push_back(std::mem::take(&mut self.assembling));
         }
+        Ok(())
     }
 
     /// Pops the next completed payload.
@@ -575,7 +576,7 @@ mod tests {
         let tool_tx = CanId::standard(0x740).unwrap();
         let mut decoder = VwTpStreamDecoder::new();
         for entry in log.frames_with_id(tool_tx) {
-            decoder.push(entry.frame.data());
+            decoder.push(entry.frame.data()).unwrap();
         }
         assert_eq!(decoder.pop(), Some(payload));
         assert!(!decoder.in_progress());
@@ -584,9 +585,9 @@ mod tests {
     #[test]
     fn decoder_ignores_control_frames() {
         let mut decoder = VwTpStreamDecoder::new();
-        decoder.push(&[0xA0, 0x0F, 0x8A, 0xFF, 0x32, 0xFF]); // params
-        decoder.push(&[0x91]); // ack
-        decoder.push(&[0x30, 0xDE, 0xAD]); // data last, no ack
+        decoder.push(&[0xA0, 0x0F, 0x8A, 0xFF, 0x32, 0xFF]).unwrap(); // params
+        decoder.push(&[0x91]).unwrap(); // ack
+        decoder.push(&[0x30, 0xDE, 0xAD]).unwrap(); // data last, no ack
         assert_eq!(decoder.pop(), Some(vec![0xDE, 0xAD]));
     }
 
@@ -597,21 +598,64 @@ mod tests {
             let mut decoder = VwTpStreamDecoder::new();
             // 20 000 "more follows" frames of 7 bytes: 140 kB, never ended
             // by a length field, then the flooded message's last frame.
+            let mut overflows = 0;
             for seq in 0..20_000u32 {
-                decoder.push(&[0x20 | (seq & 0x0F) as u8, 1, 2, 3, 4, 5, 6, 7]);
+                let pushed = decoder.push(&[0x20 | (seq & 0x0F) as u8, 1, 2, 3, 4, 5, 6, 7]);
+                if pushed == Err(TransportError::Overflow) {
+                    overflows += 1;
+                }
                 assert!(decoder.assembling.len() <= MAX_VWTP_PAYLOAD);
             }
-            decoder.push(&[0x30, 8]);
+            assert_eq!(overflows, 1, "only the frame that overflowed is refused");
+            decoder.push(&[0x30, 8]).unwrap();
             assert!(decoder.pop().is_none(), "the flooded message is dropped");
             assert!(!decoder.in_progress());
             // The next clean message reassembles untouched.
-            decoder.push(&[0x20, 0x61, 0x01]);
-            decoder.push(&[0x31, 0x2A]);
+            decoder.push(&[0x20, 0x61, 0x01]).unwrap();
+            decoder.push(&[0x31, 0x2A]).unwrap();
             decoder.pop()
         });
         assert_eq!(popped, Some(vec![0x61, 0x01, 0x2A]));
         let counters = registry.snapshot().counters;
         assert_eq!(counters.get("transport.vwtp.reject.overflow"), Some(&1));
+    }
+
+    /// The live endpoint reassembles through the same decoder: an
+    /// over-long "more follows" run is refused once with `Overflow`, the
+    /// rest of it is discarded up to its last frame — no truncated tail
+    /// is delivered — and the next message arrives clean.
+    #[test]
+    fn live_receiver_discards_an_overflowed_message() {
+        let (_, mut ecu) = channel();
+        let setup = CanFrame::new(
+            CanId::standard(SETUP_BROADCAST_ID).unwrap(),
+            &[0x01, 0xC0, 0x00, 0x03, 0x40, 0x07, 0x01],
+        )
+        .unwrap();
+        ecu.handle_frame(&setup, Micros::ZERO).unwrap();
+        assert!(ecu.is_open());
+        let tool_tx = CanId::standard(0x740).unwrap();
+        let mut seq = 0u8;
+        let mut feed = |ecu: &mut VwTpEndpoint, op: u8, chunk: &[u8]| {
+            let mut data = vec![(op << 4) | seq];
+            data.extend_from_slice(chunk);
+            seq = (seq + 1) & 0x0F;
+            ecu.handle_frame(&CanFrame::new(tool_tx, &data).unwrap(), Micros::ZERO)
+        };
+        let frames = MAX_VWTP_PAYLOAD / DATA_CHUNK + 10;
+        let errors: Vec<_> = (0..frames)
+            .filter_map(|_| feed(&mut ecu, 0x2, &[0xEE; DATA_CHUNK]).err())
+            .collect();
+        assert_eq!(errors, vec![TransportError::Overflow]);
+        feed(&mut ecu, 0x3, &[0xEE]).unwrap();
+        assert_eq!(ecu.receive(), None, "no truncated tail is delivered");
+        let _ = ecu.outgoing(Micros::ZERO);
+        assert!(!ecu.is_active(), "nothing of the flood is held");
+
+        feed(&mut ecu, 0x2, &[0x21, 0x07]).unwrap();
+        feed(&mut ecu, 0x1, &[0x2A]).unwrap();
+        assert_eq!(ecu.receive(), Some(vec![0x21, 0x07, 0x2A]));
+        assert_eq!(ecu.receive(), None);
     }
 
     #[test]
