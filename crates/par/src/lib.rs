@@ -1,13 +1,27 @@
 //! Deterministic data parallelism for the DP-Reverser stack.
 //!
-//! A std-only chunked thread pool with a rayon-shaped [`par_map`] API.
+//! A std-only fork-join thread pool with a rayon-shaped [`par_map`] API.
 //! The design goal is *bit-identical outputs regardless of thread
-//! count*: inputs are split into fixed, index-ordered chunks, workers pull
-//! chunks off an atomic cursor, and results are reassembled in input order
-//! before returning. As long as the mapped function is pure (no shared
-//! mutable state, no RNG), `par_map` with 1 thread and with N threads
-//! produce the same `Vec` — which is what lets the GP engine parallelize
-//! fitness scoring without perturbing its deterministic evolution.
+//! count*: workers claim contiguous item ranges off an atomic item
+//! cursor, and results are reassembled in input order before returning.
+//! As long as the mapped function is pure (no shared mutable state, no
+//! RNG), `par_map` with 1 thread and with N threads produce the same
+//! `Vec` — which is what lets the pipeline fit one GP formula per sensor
+//! in parallel without perturbing any fit's deterministic evolution.
+//!
+//! # How work is split
+//!
+//! Claims follow capped factoring (`claim_len`): a claim starting at
+//! item `start` takes `⌈(n − start) / 2·workers⌉` items, at least 1 and
+//! at most the cap `⌈n / 4·workers⌉`. While much work remains every
+//! claim is the cap, a quarter of a worker's fair share, so cursor
+//! traffic stays low; over the tail claims halve towards single items,
+//! so a costly item near the end (one slow GP fit among the sensors) no
+//! longer strands its siblings behind a large last chunk. A claim is
+//! taken with a compare-exchange on the cursor and its length depends
+//! only on its start, so the set of claim ranges is the same at every
+//! thread count: only which worker runs a claim varies, and results are
+//! stored per claim and concatenated in start order.
 //!
 //! # The persistent pool
 //!
@@ -17,7 +31,7 @@
 //! the submitting thread**, and reassembles the results once the pool
 //! threads (slots 1..N) have drained their share. Caller participation
 //! is what makes small jobs safe: the already-running submitter starts
-//! claiming chunks immediately, so wake-up latency overlaps useful work
+//! claiming items immediately, so wake-up latency overlaps useful work
 //! and a call can never be slower than running inline by more than the
 //! join cost. Earlier versions spawned fresh OS threads on *every*
 //! call, which on the GP fitness path meant thousands of spawns per run
@@ -47,18 +61,18 @@
 //!
 //! Workers are named `gp-worker-N` and run inside the caller's scoped
 //! telemetry registry (`dpr_telemetry::scoped` is thread-local, so the
-//! pool re-enters it on each job). Every claimed chunk is timed under
+//! pool re-enters it on each job). Every claim is timed under
 //! a `par.chunk` span, which is what makes pool rows visible in exported
 //! traces; metrics recorded by the mapped function land in the calling
 //! run's registry, not the process-wide global one.
 //!
 //! Every call additionally records a `dpr_prof::CallProfile` — per-worker
-//! busy/wait/idle microseconds, chunk geometry, spin-up and teardown
+//! busy/wait/idle microseconds, claim count and cap, spin-up and teardown
 //! latency — into the process-wide profile store, and emits `par.*`
 //! metrics (see the DESIGN.md taxonomy) into the caller's registry.
 //! Allocation attribution rides along when `DPR_PROF=1` and the binary
 //! installs [`dpr_prof::alloc::CountingAlloc`]. Profiling never touches
-//! the data path: claims, chunking, and reassembly are identical with
+//! the data path: claims and reassembly are identical with
 //! profiling on or off.
 //!
 //! # Example
@@ -98,7 +112,7 @@ pub fn threads() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// A chunked fork-join facade over the process-wide persistent pool.
+/// A fork-join facade over the process-wide persistent pool.
 ///
 /// The pool handle is a configuration object (just a worker count); the
 /// live `gp-worker-N` threads are process-wide and shared by every
@@ -166,14 +180,8 @@ impl Pool {
             return run_inline(items, init, f, started, n);
         }
 
-        // Chunks several times smaller than a worker's fair share keep the
-        // pool load-balanced when item costs vary (GP trees differ wildly
-        // in size) without paying cursor contention per item.
-        let chunk = n.div_ceil(workers * 4).max(1);
-        let n_chunks = n.div_ceil(chunk);
         let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Vec<R>>>> =
-            Mutex::new((0..n_chunks).map(|_| None).collect());
+        let claims: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
         let raw_stats: Mutex<Vec<pool::RawWorker>> =
             Mutex::new(vec![pool::RawWorker::default(); workers]);
 
@@ -181,21 +189,22 @@ impl Pool {
             items,
             init: &init,
             f: &f,
-            chunk,
-            n_chunks,
+            workers,
             cursor: &cursor,
-            slots: &slots,
+            claims: &claims,
             stats: &raw_stats,
             started,
             _state: std::marker::PhantomData,
         };
         let outcome = pool::run_job(&ctx, workers);
 
+        let mut claims = claims.into_inner().unwrap_or_else(|e| e.into_inner());
         let profile = finalize_profile(
             started,
             n,
-            chunk,
-            n_chunks,
+            // The first claim is the cap: no later claim is larger.
+            claim_len(n, 0, workers),
+            claims.len(),
             &outcome,
             raw_stats.into_inner().unwrap_or_else(|e| e.into_inner()),
             prof_on,
@@ -207,13 +216,31 @@ impl Pool {
             std::panic::resume_unwind(payload);
         }
 
-        slots
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .into_iter()
-            .flat_map(|slot| slot.expect("every chunk was claimed and filled"))
-            .collect()
+        // Claim ranges depend only on their start, so start order is input
+        // order whichever worker finished which claim.
+        claims.sort_unstable_by_key(|&(start, _)| start);
+        let mut out = Vec::with_capacity(n);
+        for (start, results) in claims {
+            assert_eq!(start, out.len(), "every claim was taken and filled");
+            out.extend(results);
+        }
+        assert_eq!(out.len(), n, "every item was claimed and mapped");
+        out
     }
+}
+
+/// How many items a claim starting at item `start` takes, out of `n`
+/// items shared by `workers`: capped factoring,
+/// `clamp(⌈(n − start) / 2·workers⌉, 1, ⌈n / 4·workers⌉)`, and 0 once
+/// `start ≥ n` (see "How work is split" above). Being a function of
+/// `start` alone, not of which worker asks or when, is what makes the
+/// claim ranges, and so the output, the same at any thread count.
+pub(crate) fn claim_len(n: usize, start: usize, workers: usize) -> usize {
+    if start >= n {
+        return 0;
+    }
+    let cap = n.div_ceil(4 * workers);
+    (n - start).div_ceil(2 * workers).clamp(1, cap)
 }
 
 /// The call's start on the caller's telemetry-registry timeline — the
@@ -264,14 +291,14 @@ where
 ///
 /// `busy` and `wait` are measured directly; `idle` is the per-worker
 /// remainder of the call's wall time (spin-up gap before the worker's
-/// first claim, the tail after its last chunk while stragglers finish,
+/// first claim, the tail after its last claim while stragglers finish,
 /// and reassembly), saturating against clock-read jitter.
 #[allow(clippy::too_many_arguments)]
 fn finalize_profile(
     started: Instant,
     n: usize,
-    chunk: usize,
-    n_chunks: usize,
+    cap: usize,
+    claims: usize,
     outcome: &pool::JobOutcome,
     raw: Vec<pool::RawWorker>,
     prof_on: bool,
@@ -302,8 +329,8 @@ fn finalize_profile(
         epoch_start_us: registry_start_us(started),
         wall_us,
         items: n as u64,
-        chunk_size: chunk as u64,
-        chunks: n_chunks as u64,
+        chunk_size: cap as u64,
+        chunks: claims as u64,
         workers: stats,
         spinup_us,
         teardown_us: wall_us.saturating_sub(last_exit_us),
@@ -380,10 +407,56 @@ mod tests {
 
     #[test]
     fn preserves_input_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        for workers in [1, 2, 3, 8, 64] {
-            let out = Pool::new(workers).par_map(&items, |x| x * 2);
-            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        // Small inputs are where the tail claims differ from the cap.
+        for n in (0..=64).chain([1000]) {
+            let items: Vec<usize> = (0..n).collect();
+            for workers in [1, 2, 3, 8, 64] {
+                let out = Pool::new(workers).par_map(&items, |x| x * 2);
+                assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    /// The claim lengths a call over `n` items makes, in cursor order.
+    fn claims(n: usize, workers: usize) -> Vec<usize> {
+        let mut lens = Vec::new();
+        let mut start = 0;
+        while start < n {
+            let len = claim_len(n, start, workers);
+            assert!(len >= 1, "n {n} workers {workers}: empty claim at {start}");
+            lens.push(len);
+            start += len;
+        }
+        assert_eq!(claim_len(n, start, workers), 0);
+        lens
+    }
+
+    #[test]
+    fn claims_tile_the_input_and_shrink_to_single_items() {
+        for workers in 1..=16 {
+            for n in 0..=2000 {
+                let lens = claims(n, workers);
+                let cap = n.div_ceil(4 * workers);
+                assert_eq!(lens.iter().sum::<usize>(), n, "n {n} workers {workers}");
+                assert!(
+                    lens.windows(2).all(|w| w[0] >= w[1]),
+                    "n {n} workers {workers}: claims grow {lens:?}"
+                );
+                assert!(
+                    lens.iter().all(|&len| len <= cap),
+                    "n {n} workers {workers}"
+                );
+                if n > 0 {
+                    assert_eq!(lens.last(), Some(&1), "n {n} workers {workers}");
+                }
+                if n <= 4 * workers {
+                    // The fixed-chunk geometry: ⌈n / 4·workers⌉-item chunks.
+                    let chunk = cap.max(1);
+                    let fixed: Vec<usize> =
+                        (0..n).step_by(chunk).map(|s| chunk.min(n - s)).collect();
+                    assert_eq!(lens, fixed, "n {n} workers {workers}");
+                }
+            }
         }
     }
 

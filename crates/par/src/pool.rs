@@ -8,11 +8,11 @@
 //! participant has decremented the active counter. Caller participation
 //! matters twice over: a 2-thread call needs only one condvar wake-up
 //! instead of two, and the submitting thread — already hot, already
-//! scheduled — starts chewing chunks immediately, so in the worst case
+//! scheduled — starts claiming items immediately, so in the worst case
 //! (pool threads scheduled late) the call degenerates to inline speed
 //! instead of paying wake-up latency on the critical path. Because the
 //! submitter cannot return before the job completes, the task may borrow
-//! the caller's stack (items, closures, result slots) without `'static`
+//! the caller's stack (items, closures, claim results) without `'static`
 //! bounds — that is the invariant the `unsafe` below leans on.
 //!
 //! Parked workers briefly spin (bounded [`PARK_SPINS`] yields) before
@@ -29,6 +29,7 @@
 
 use std::any::Any;
 use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -44,9 +45,9 @@ pub(crate) struct RawWorker {
     pub(crate) exit_us: u64,
     /// Microseconds inside `init` + the mapped function.
     pub(crate) busy_us: u64,
-    /// Microseconds claiming chunks and storing result slots.
+    /// Microseconds claiming items and storing claim results.
     pub(crate) wait_us: u64,
-    /// Chunks claimed.
+    /// Claims taken.
     pub(crate) chunks: u64,
     /// Items mapped.
     pub(crate) items: u64,
@@ -63,10 +64,14 @@ pub(crate) struct Ctx<'a, T, S, R, FI, F> {
     pub(crate) items: &'a [T],
     pub(crate) init: &'a FI,
     pub(crate) f: &'a F,
-    pub(crate) chunk: usize,
-    pub(crate) n_chunks: usize,
+    /// Participant count; with `items.len()` it fixes every claim's
+    /// length (see [`crate::claim_len`]).
+    pub(crate) workers: usize,
+    /// The next unclaimed item index.
     pub(crate) cursor: &'a AtomicUsize,
-    pub(crate) slots: &'a Mutex<Vec<Option<Vec<R>>>>,
+    /// One `(start, results)` entry per finished claim, in completion
+    /// order; the caller sorts them by `start` to reassemble.
+    pub(crate) claims: &'a Mutex<Vec<(usize, Vec<R>)>>,
     pub(crate) stats: &'a Mutex<Vec<RawWorker>>,
     pub(crate) started: Instant,
     pub(crate) _state: std::marker::PhantomData<fn() -> S>,
@@ -158,7 +163,7 @@ pub(crate) fn in_worker() -> bool {
 }
 
 /// Sets the thread's in-worker flag for a scope, restoring it on drop
-/// (including across an unwinding panic in the caller's chunk loop).
+/// (including across an unwinding panic in the caller's claim loop).
 struct WorkerScope {
     prev: bool,
 }
@@ -340,8 +345,26 @@ where
     run_typed(ctx, worker);
 }
 
-/// One worker's share of a job: claim chunks off the cursor until none
-/// remain, timing every phase. `wait` is cursor-claim plus slot-store
+/// Takes the next claim off the item cursor: `start..start + claim_len`,
+/// or `None` once every item is claimed. The length is a function of
+/// `start` alone, so the compare-exchange retries until this worker wins
+/// the cursor at some `start` and then owns exactly that claim.
+fn claim(cursor: &AtomicUsize, n: usize, workers: usize) -> Option<Range<usize>> {
+    let mut start = cursor.load(Ordering::Relaxed);
+    loop {
+        if start >= n {
+            return None;
+        }
+        let end = start + crate::claim_len(n, start, workers);
+        match cursor.compare_exchange_weak(start, end, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return Some(start..end),
+            Err(current) => start = current,
+        }
+    }
+}
+
+/// One worker's share of a job: take claims off the cursor until none
+/// remain, timing every phase. `wait` is cursor-claim plus result-store
 /// time; `busy` is `init` plus the mapped function.
 fn run_typed<T, S, R, FI, F>(ctx: &Ctx<'_, T, S, R, FI, F>, worker: usize)
 where
@@ -361,28 +384,29 @@ where
 
     loop {
         let claim_start = Instant::now();
-        let c = ctx.cursor.fetch_add(1, Ordering::Relaxed);
-        if c >= ctx.n_chunks {
+        let Some(range) = claim(ctx.cursor, ctx.items.len(), ctx.workers) else {
             wait_t += claim_start.elapsed();
             break;
-        }
-        let start = c * ctx.chunk;
-        let end = (start + ctx.chunk).min(ctx.items.len());
+        };
         let claimed = Instant::now();
         wait_t += claimed - claim_start;
+        let start = range.start;
+        items += range.len() as u64;
         let out: Vec<R> = {
             let _span = dpr_telemetry::Span::enter("par.chunk");
-            ctx.items[start..end]
+            ctx.items[range]
                 .iter()
                 .map(|item| (ctx.f)(&mut state, item))
                 .collect()
         };
         let mapped = Instant::now();
         busy += mapped - claimed;
-        ctx.slots.lock().unwrap_or_else(|e| e.into_inner())[c] = Some(out);
+        ctx.claims
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((start, out));
         wait_t += mapped.elapsed();
         chunks += 1;
-        items += (end - start) as u64;
     }
 
     let alloc = dpr_prof::alloc::thread_alloc_stats().since(alloc_before);

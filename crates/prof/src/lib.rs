@@ -2,7 +2,7 @@
 //!
 //! `dpr-prof` is the measurement layer underneath `dpr-par`: the pool
 //! reports one [`CallProfile`] per `par_map` call (per-worker busy /
-//! chunk-wait / idle accounting, chunk geometry, spin-up and teardown
+//! claim-wait / idle accounting, claim count and cap, spin-up and teardown
 //! cost), and this crate aggregates them into a process-wide store that
 //! the observability stack reads back out — `GET /profile` on the
 //! metrics server, utilization counter tracks in the Chrome trace
@@ -15,12 +15,12 @@
 //!
 //! * **busy** — time inside the caller's mapped function (including the
 //!   per-worker `init` that builds scratch state),
-//! * **wait** — time spent claiming chunks off the shared cursor and
-//!   storing finished chunks into the result slots (synchronization),
+//! * **wait** — time spent claiming items off the shared cursor and
+//!   storing each finished claim's results (synchronization),
 //! * **idle** — everything else inside the worker's lifetime: the gap
 //!   between call start and the worker's first instruction (spin-up
 //!   latency, dominated by OS thread scheduling) and the tail between a
-//!   worker running out of chunks and the slowest worker finishing.
+//!   worker running out of claims and the slowest worker finishing.
 //!
 //! The invariant `busy + wait + idle ≈ wall` holds per worker within
 //! clock-read jitter; `crates/par/tests/accounting.rs` property-tests

@@ -52,7 +52,8 @@ fn diagnose(label: &LabelSummary) -> Vec<(f64, String)> {
             idle,
             format!(
                 "[{}] workers are idle for {} of pool capacity (spin-up gaps + end-of-call \
-                 stragglers) — utilization {}; smaller tail chunks or fewer workers would help",
+                 stragglers) — utilization {}; tail claims are already single items, so \
+                 fewer workers or more items per call would help",
                 label.label,
                 pct(idle),
                 pct(label.mean_utilization()),
@@ -63,8 +64,8 @@ fn diagnose(label: &LabelSummary) -> Vec<(f64, String)> {
         causes.push((
             wait,
             format!(
-                "[{}] workers spend {} of pool capacity on chunk claim/store synchronization — \
-                 chunks are too fine ({} chunks for {} items)",
+                "[{}] workers spend {} of pool capacity on claim/store synchronization — \
+                 claims are too fine ({} claims for {} items)",
                 label.label,
                 pct(wait),
                 label.chunks,
@@ -78,7 +79,8 @@ fn diagnose(label: &LabelSummary) -> Vec<(f64, String)> {
             (imbalance - 1.0) / 10.0,
             format!(
                 "[{}] work is unbalanced: the busiest worker does {:.2}× the mean share \
-                 (steal ratio {}) — item costs vary more than the chunk size absorbs",
+                 (steal ratio {}) — even with single-item tail claims, a few items cost \
+                 more than the rest of a worker's share; split them or start them first",
                 label.label,
                 imbalance,
                 pct(label.mean_steal_ratio()),

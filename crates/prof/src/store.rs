@@ -17,13 +17,13 @@ pub struct WorkerStats {
     pub worker: u64,
     /// Microseconds inside the caller's mapped function (and `init`).
     pub busy_us: u64,
-    /// Microseconds claiming chunks and storing results (synchronization).
+    /// Microseconds claiming items and storing results (synchronization).
     pub wait_us: u64,
     /// Microseconds neither busy nor waiting: spin-up latency before the
-    /// worker's first claim plus the tail after its last chunk while
+    /// worker's first claim plus the tail after its last claim while
     /// slower siblings finish.
     pub idle_us: u64,
-    /// Chunks this worker claimed.
+    /// Claims this worker took.
     pub chunks: u64,
     /// Items this worker mapped.
     pub items: u64,
@@ -54,9 +54,10 @@ pub struct CallProfile {
     pub wall_us: u64,
     /// Items mapped.
     pub items: u64,
-    /// Chunk size the pool chose.
+    /// The largest claim the pool allows, `⌈items / (4 × workers)⌉`
+    /// (tail claims shrink from it to single items); `items` when inline.
     pub chunk_size: u64,
-    /// Number of chunks.
+    /// Number of claims taken (Σ `workers[i].chunks`).
     pub chunks: u64,
     /// Workers that participated (empty for inline single-thread calls).
     pub workers: Vec<WorkerStats>,
@@ -129,9 +130,9 @@ impl CallProfile {
         max as f64 / mean
     }
 
-    /// Chunks claimed beyond each worker's fair share, over total
-    /// chunks — how much dynamic rebalancing the cursor actually did.
-    /// 0.0 when every worker claimed exactly `chunks / workers`.
+    /// Claims taken beyond each worker's fair share, over total
+    /// claims — how much dynamic rebalancing the cursor actually did.
+    /// 0.0 when every worker took exactly `chunks / workers` claims.
     pub fn steal_ratio(&self) -> f64 {
         if self.workers.len() <= 1 || self.chunks == 0 {
             return 0.0;
@@ -198,7 +199,7 @@ pub struct LabelSummary {
     pub teardown_us: u64,
     /// Σ items mapped.
     pub items: u64,
-    /// Σ chunks claimed.
+    /// Σ claims taken.
     pub chunks: u64,
     /// Σ OS threads spawned on behalf of these calls.
     pub spawned_threads: u64,
