@@ -181,8 +181,11 @@ fn open_capture(path: &str) -> Option<CaptureReader<std::io::BufReader<std::fs::
 
 /// Runs the pipeline on one car and prints the evidence chain behind
 /// each recovered sensor: raw frames → reassembly → OCR → alignment →
-/// GP lineage → final formula. `sensor` is a slug (`did-0xf40d`), a
-/// case-insensitive substring of the sensor key or label, or `all`.
+/// GP lineage → final formula, then the ground-truth verdict
+/// ([`dp_reverser::evaluate`]) on that chain. A `MISSED` line follows
+/// for every ground-truth ESV the run did not recover. `sensor` is a
+/// slug (`did-0xf40d`), a case-insensitive substring of the sensor key
+/// or label, or `all`.
 fn explain(args: &[String]) -> ExitCode {
     let (Some(car), Some(sensor)) = (args.first(), args.get(1)) else {
         return usage();
@@ -200,12 +203,14 @@ fn explain(args: &[String]) -> ExitCode {
         "explaining car {car} (dwell {read_secs}s, seed {seed}, quick {})…",
         quick()
     );
-    let result = dpr_telemetry::scoped(Arc::clone(&registry), || {
+    let (report, result) = dpr_telemetry::scoped(Arc::clone(&registry), || {
         let report = collect_car(id, seed, read_secs);
         let pipeline = DpReverser::new(experiment_config(id, seed));
-        pipeline.analyze(&report.log, &report.frames, Some(&report.execution))
+        let result = pipeline.analyze(&report.log, &report.frames, Some(&report.execution));
+        (report, result)
     });
     let run_id = session.publish_run(&result.trace, &result.evidence);
+    let precision = dp_reverser::evaluate(&result, &report.vehicle);
 
     let ledger = &result.evidence;
     println!(
@@ -238,6 +243,24 @@ fn explain(args: &[String]) -> ExitCode {
     for chain in selected {
         println!();
         print!("{}", dpr_evidence::render(chain));
+        match precision.verdicts.iter().find(|v| v.key.to_string() == chain.sensor) {
+            Some(v) if v.correct => println!("  accuracy: correct"),
+            Some(v) => println!("  accuracy: WRONG, truth {}", v.truth),
+            None => println!("  accuracy: not scored (no ground-truth ESV)"),
+        }
+    }
+    let recovered: Vec<String> = result.esvs.iter().map(|e| e.key.to_string()).collect();
+    let missed: Vec<_> = report
+        .vehicle
+        .esv_points()
+        .into_iter()
+        .filter(|p| !recovered.contains(&p.id.to_string()))
+        .collect();
+    if !missed.is_empty() {
+        println!();
+    }
+    for p in missed {
+        println!("MISSED {} [{}] truth {}", p.id, p.quantity.name(), p.formula);
     }
     if let Some(path) = session.evidence_path() {
         println!();

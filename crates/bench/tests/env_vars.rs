@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 /// The size of the environment surface. Adding a knob means raising
 /// this on purpose, next to its README row.
-const MAX_KNOBS: usize = 13;
+const MAX_KNOBS: usize = 11;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")

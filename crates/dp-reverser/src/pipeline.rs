@@ -15,15 +15,6 @@ use dpr_baselines::{PolynomialFit, Regressor};
 use crate::associate::{match_series_two_pass, LabelSeries, MatchScore};
 use crate::result::{RecoveredEcr, RecoveredEsv, RecoveredKind, ReverseEngineeringResult};
 
-/// One structured log line per finished pipeline stage — the
-/// stage-boundary breadcrumbs that let `grep <job_id>` over a JSON log
-/// reconstruct a run. Purely observational: analysis output is
-/// byte-identical with logging on or off (pinned by the
-/// `log_identity` test).
-fn stage_done(stage: &str) {
-    dpr_log::info("pipeline", "stage complete", &[("stage", stage.into())]);
-}
-
 /// The `dpr_prof` label of the inference stage's per-sensor fan-out, so
 /// the pool profile tells that job apart from GP scoring (`gp.score`).
 pub const INFERENCE_LABEL: &str = "inference";
@@ -162,12 +153,7 @@ impl DpReverser {
     ) -> ReverseEngineeringResult {
         let registry = dpr_telemetry::registry();
         let mut tracer = dpr_telemetry::TraceBuilder::new(registry);
-        let session = tracer.stage("capture", || {
-            let _span = dpr_telemetry::Span::enter("capture");
-            let (session, _stats) = reader.read_session();
-            session
-        });
-        stage_done("capture");
+        let (session, _stats) = tracer.stage("capture", || reader.read_session());
         self.analyze_session(tracer, &session)
     }
 
@@ -224,15 +210,10 @@ impl DpReverser {
         let _run_span = dpr_telemetry::Span::enter("pipeline");
 
         // ——— diagnostic frames analysis ———
-        let capture = tracer.stage("transport", || {
-            let _span = dpr_telemetry::Span::enter("transport");
-            analyze_capture(log, self.config.scheme)
-        });
-        stage_done("transport");
+        let capture = tracer.stage("transport", || analyze_capture(log, self.config.scheme));
 
         // ——— screenshot analysis ———
         let (readings, offset) = tracer.stage("ocr", || {
-            let _span = dpr_telemetry::Span::enter("ocr");
             let raw_readings = read_frames(frames, &self.config.ocr);
             let offset = match self.config.align {
                 Alignment::None => 0,
@@ -251,7 +232,6 @@ impl DpReverser {
             };
             (readings, offset)
         });
-        stage_done("ocr");
 
         // Group Y series by (screen, label): one stable sort keeps each
         // label's readings in their original order, then split the runs.
@@ -270,7 +250,6 @@ impl DpReverser {
 
         // ——— request-message analysis: associate ids with labels ———
         let matches = tracer.stage("association", || {
-            let _span = dpr_telemetry::Span::enter("association");
             match_series_two_pass(
                 &capture.extraction.series,
                 &y_series,
@@ -278,7 +257,6 @@ impl DpReverser {
                 self.config.match_threshold,
             )
         });
-        stage_done("association");
 
         // ——— response-message analysis: infer formulas ———
         // One pool job per car: sensors are independent and each GP run is
@@ -287,7 +265,6 @@ impl DpReverser {
         // replayed here in `matches` order, so the ledger and metrics read
         // exactly as a sequential run wrote them.
         let mut inferred = tracer.stage("inference", || {
-            let _span = dpr_telemetry::Span::enter("inference");
             let outcomes = dpr_prof::with_label(INFERENCE_LABEL, || {
                 dpr_par::Pool::from_env().par_map(&matches, |m| {
                     dpr_telemetry::defer_observations(|| {
@@ -307,7 +284,6 @@ impl DpReverser {
             }
             inferred
         });
-        stage_done("inference");
         inferred.sort_by_key(|(e, _)| e.key);
 
         // ——— ECR recovery ———

@@ -14,8 +14,10 @@
 //!   stack lines and a self-time/total-time text profile.
 //! * [`server`] + [`prom`] — a std-only HTTP scrape endpoint
 //!   (`std::net::TcpListener`, no external deps) serving `GET /metrics`
-//!   in Prometheus text exposition format, `GET /trace` (the latest
-//!   [`PipelineTrace`](dpr_telemetry::PipelineTrace) as JSON),
+//!   in Prometheus text exposition format, `GET /trace` (the newest
+//!   published run's [`PipelineTrace`](dpr_telemetry::PipelineTrace) as
+//!   JSON, read from the same [`RunRecord`] as `/runs` and
+//!   `/evidence/<sensor>`),
 //!   `GET /profile` (the pool-profile snapshot), and `GET /healthz`
 //!   (liveness JSON: version, uptime, runs published). Opt in with
 //!   `DPR_METRICS_ADDR=127.0.0.1:0`.
@@ -48,9 +50,9 @@ pub mod trace_event;
 pub use flame::Profile;
 pub use regress::{Comparison, Direction, Verdict};
 pub use server::{
-    json_value, route_slug, shared_runs, shared_trace, Conn, HealthStatus, HttpHandler, HttpServer,
+    json_value, route_slug, shared_runs, Conn, HealthStatus, HttpHandler, HttpServer,
     MetricsServer, ObsRouter, RunListing, RunRecord, RunStore, ServerConfig, SharedRuns,
-    SharedTrace, METRICS_ADDR_ENV, OBS_ROUTES, RUNS_KEPT,
+    METRICS_ADDR_ENV, OBS_ROUTES, RUNS_KEPT,
 };
 pub use table::{SessionTable, SessionToken};
 pub use trace_event::{TraceExport, TRACE_EVENTS_ENV};
@@ -69,15 +71,14 @@ pub const EVIDENCE_JSON_ENV: &str = "DPR_EVIDENCE_JSON";
 /// The environment-driven observability hookup for one run: an optional
 /// [`TraceExport`] sink (from `DPR_TRACE_EVENTS`) attached to the run's
 /// registry, an optional [`MetricsServer`] (from `DPR_METRICS_ADDR`), and
-/// the shared latest-trace cell the server reads.
+/// the run store the server reads.
 ///
-/// Construct it right after the run's [`Registry`], publish traces as
+/// Construct it right after the run's [`Registry`], publish runs as
 /// they complete, and call [`finish`](ObsSession::finish) when the run
 /// ends — that writes the trace-event file and stops the server.
 pub struct ObsSession {
     export: Option<Arc<TraceExport>>,
     server: Option<MetricsServer>,
-    trace: SharedTrace,
     runs: SharedRuns,
     evidence_path: Option<PathBuf>,
 }
@@ -92,13 +93,8 @@ impl ObsSession {
         if let Some(sink) = &export {
             registry.add_sink(Arc::clone(sink) as _);
         }
-        let trace = shared_trace();
         let runs = shared_runs();
-        let server = match MetricsServer::from_env(
-            Arc::clone(registry),
-            Arc::clone(&trace),
-            Arc::clone(&runs),
-        ) {
+        let server = match MetricsServer::from_env(Arc::clone(registry), Arc::clone(&runs)) {
             Ok(server) => server,
             Err(e) => {
                 eprintln!("dpr-obs: metrics server disabled ({e})");
@@ -125,43 +121,29 @@ impl ObsSession {
         ObsSession {
             export,
             server,
-            trace,
             runs,
             evidence_path,
         }
     }
 
-    /// A session with nothing enabled (useful as a default).
-    pub fn disabled() -> ObsSession {
-        ObsSession {
-            export: None,
-            server: None,
-            trace: shared_trace(),
-            runs: shared_runs(),
-            evidence_path: None,
-        }
-    }
-
-    /// Publishes `trace` as the latest run trace served at `GET /trace`.
-    pub fn publish_trace(&self, trace: &PipelineTrace) {
-        *self.trace.lock() = Some(trace.clone());
-    }
-
-    /// Publishes a completed pipeline run: the trace lands on `GET
-    /// /trace`, the run is listed at `GET /runs`, each chain is served
-    /// at `GET /evidence/<sensor>`, and — when `DPR_EVIDENCE_JSON` is
-    /// set — appended to the JSON-lines export. Returns the run id.
+    /// Publishes a completed pipeline run as one [`RunRecord`]: the run
+    /// is listed at `GET /runs`, its trace is served at `GET /trace`
+    /// until a newer run lands, each chain is served at `GET
+    /// /evidence/<sensor>`, and — when `DPR_EVIDENCE_JSON` is set — the
+    /// chains are appended to the JSON-lines export. Returns the run id.
     pub fn publish_run(
         &self,
         trace: &PipelineTrace,
         ledger: &dpr_evidence::EvidenceLedger,
     ) -> String {
-        self.publish_trace(trace);
         let at_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        let id = self.runs.lock().publish(at_ms, ledger.clone());
+        let id = self
+            .runs
+            .lock()
+            .publish(at_ms, None, trace.clone(), ledger.clone());
         if let Some(path) = &self.evidence_path {
             if let Err(e) = append_chains(path, ledger) {
                 eprintln!(
@@ -171,11 +153,6 @@ impl ObsSession {
             }
         }
         id
-    }
-
-    /// The published-runs store the metrics server serves from.
-    pub fn runs(&self) -> &SharedRuns {
-        &self.runs
     }
 
     /// The JSON-lines evidence export path, when enabled.

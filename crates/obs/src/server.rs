@@ -18,9 +18,9 @@
 //!
 //!   * `GET /metrics` — the registry's current snapshot in Prometheus
 //!     text exposition format ([`crate::prom::render`]).
-//!   * `GET /trace` — the most recently published
+//!   * `GET /trace` — the newest published run's
 //!     [`PipelineTrace`](dpr_telemetry::PipelineTrace) as JSON (404
-//!     until one is published).
+//!     until a run is published).
 //!   * `GET /runs` — the recent published runs (id, wall-clock publish
 //!     time, recovered sensor slugs) as a JSON array, newest last.
 //!   * `GET /evidence/<sensor>` — the named sensor's
@@ -58,16 +58,8 @@ use std::time::{Duration, Instant};
 /// (e.g. `127.0.0.1:9464`, or `127.0.0.1:0` for an ephemeral port).
 pub const METRICS_ADDR_ENV: &str = "DPR_METRICS_ADDR";
 
-/// The latest published pipeline trace, shared between the run that
-/// produces traces and the server that serves them.
-pub type SharedTrace = Arc<Mutex<Option<PipelineTrace>>>;
-
-/// An empty [`SharedTrace`] cell.
-pub fn shared_trace() -> SharedTrace {
-    Arc::new(Mutex::new(None))
-}
-
-/// One published pipeline run, as listed by `GET /runs`.
+/// One published pipeline run: what `GET /runs` lists, `GET /trace`
+/// serves (the newest run's trace) and `GET /evidence/<sensor>` reads.
 ///
 /// The wall-clock timestamp lives only here, on the serving side — the
 /// evidence ledger itself carries nothing but simulation time, so
@@ -83,6 +75,8 @@ pub struct RunRecord {
     pub job: Option<String>,
     /// Slugs of the sensors the run recovered.
     pub sensors: Vec<String>,
+    /// The run's stage trace, its `job_id` stamped from [`job`](Self::job).
+    pub trace: PipelineTrace,
     /// The run's full evidence ledger (served per sensor, not in the
     /// `/runs` listing).
     pub ledger: dpr_evidence::EvidenceLedger,
@@ -135,26 +129,25 @@ impl RunStore {
     }
 
     /// Appends a run, assigns its id, and evicts the oldest beyond the
-    /// capacity. Returns the assigned id.
-    pub fn publish(&mut self, at_ms: u64, ledger: dpr_evidence::EvidenceLedger) -> String {
-        self.publish_for(at_ms, None, ledger)
-    }
-
-    /// [`publish`](RunStore::publish) with the originating service job
-    /// attached, so `GET /runs` correlates runs back to `job-NNNNNN`.
-    pub fn publish_for(
+    /// capacity. `job` names the originating service job, so `GET /runs`
+    /// and the trace's `job_id` correlate the run back to `job-N`.
+    /// Returns the assigned id.
+    pub fn publish(
         &mut self,
         at_ms: u64,
         job: Option<String>,
+        mut trace: PipelineTrace,
         ledger: dpr_evidence::EvidenceLedger,
     ) -> String {
         self.next_id += 1;
         let id = format!("run-{}", self.next_id);
+        trace.job_id = job.clone();
         let evicted = self.runs.push(RunRecord {
             id: id.clone(),
             at_ms,
             job,
             sensors: ledger.chains.iter().map(|c| c.slug.clone()).collect(),
+            trace,
             ledger,
         });
         if evicted.is_some() {
@@ -166,6 +159,11 @@ impl RunStore {
     /// The retained runs, oldest first.
     pub fn runs(&self) -> impl Iterator<Item = &RunRecord> {
         self.runs.iter()
+    }
+
+    /// The newest retained run.
+    pub fn latest(&self) -> Option<&RunRecord> {
+        self.runs.last()
     }
 
     /// How many runs are currently retained.
@@ -670,7 +668,7 @@ fn serve_one(
             registry
                 .counter("http.bytes_in")
                 .inc(scratch.len() as u64 + body_len.saturating_sub(head.leftover.len() as u64));
-            let _ctx = dpr_log::push_context("req_id", req_id.as_str());
+            let _ctx = dpr_telemetry::log::push_context("req_id", req_id.as_str());
             let mut conn = Conn::new(
                 &mut stream,
                 registry,
@@ -689,8 +687,8 @@ fn serve_one(
             registry
                 .histogram(&format!("http.{route}.latency_us"))
                 .record(elapsed_us);
-            if dpr_log::enabled(dpr_log::Level::Debug) {
-                dpr_log::debug(
+            if dpr_telemetry::log::enabled(dpr_telemetry::log::Level::Debug) {
+                dpr_telemetry::log::debug(
                     "http",
                     "request",
                     &[
@@ -769,7 +767,6 @@ fn sweep_loop(shared: &ServerShared) {
 /// delegates non-`/jobs` requests to.
 pub struct ObsRouter {
     registry: Arc<Registry>,
-    trace: SharedTrace,
     runs: SharedRuns,
     series: Option<Arc<Sampler>>,
     started: Instant,
@@ -780,12 +777,10 @@ pub const OBS_ROUTES: &str =
     "/metrics /metrics/history /trace /runs /evidence/<sensor> /profile /healthz";
 
 impl ObsRouter {
-    /// A router serving `registry`, `trace`, and `runs`; uptime counts
-    /// from now.
-    pub fn new(registry: Arc<Registry>, trace: SharedTrace, runs: SharedRuns) -> ObsRouter {
+    /// A router serving `registry` and `runs`; uptime counts from now.
+    pub fn new(registry: Arc<Registry>, runs: SharedRuns) -> ObsRouter {
         ObsRouter {
             registry,
-            trace,
             runs,
             series: None,
             started: Instant::now(),
@@ -862,12 +857,16 @@ impl ObsRouter {
                     )?;
                 }
             },
-            "/trace" => match self.trace.lock().clone() {
-                Some(trace) => conn.respond_json("200 OK", &trace)?,
-                None => {
-                    conn.respond("404 Not Found", "text/plain", "no trace published yet\n")?;
+            "/trace" => {
+                // Clone out so the store lock is not held while writing.
+                let trace = self.runs.lock().latest().map(|run| run.trace.clone());
+                match trace {
+                    Some(trace) => conn.respond_json("200 OK", &trace)?,
+                    None => {
+                        conn.respond("404 Not Found", "text/plain", "no trace published yet\n")?;
+                    }
                 }
-            },
+            }
             "/runs" => {
                 let listing: Vec<RunListing> = self
                     .runs
@@ -928,14 +927,13 @@ pub struct MetricsServer {
 }
 
 impl MetricsServer {
-    /// Binds `addr` and starts serving `registry`, `trace`, and `runs`.
+    /// Binds `addr` and starts serving `registry` and `runs`.
     /// A series sampler (interval from `DPR_SERIES_INTERVAL_MS`, no
     /// SLOs) is started alongside, so
     /// `GET /metrics/history` works on the standalone scrape server too.
     pub fn start(
         addr: &str,
         registry: Arc<Registry>,
-        trace: SharedTrace,
         runs: SharedRuns,
     ) -> io::Result<MetricsServer> {
         let sampler = Sampler::start(
@@ -944,7 +942,7 @@ impl MetricsServer {
             Vec::new(),
         );
         let router = Arc::new(
-            ObsRouter::new(Arc::clone(&registry), trace, runs).with_series(Arc::clone(&sampler)),
+            ObsRouter::new(Arc::clone(&registry), runs).with_series(Arc::clone(&sampler)),
         );
         let inner =
             HttpServer::start(addr, "dpr-metrics", ServerConfig::default(), router, registry)?;
@@ -955,12 +953,11 @@ impl MetricsServer {
     /// is set and non-empty. `Ok(None)` when unset.
     pub fn from_env(
         registry: Arc<Registry>,
-        trace: SharedTrace,
         runs: SharedRuns,
     ) -> io::Result<Option<MetricsServer>> {
         match std::env::var(METRICS_ADDR_ENV) {
             Ok(addr) if !addr.trim().is_empty() => {
-                MetricsServer::start(addr.trim(), registry, trace, runs).map(Some)
+                MetricsServer::start(addr.trim(), registry, runs).map(Some)
             }
             _ => Ok(None),
         }
@@ -1014,13 +1011,8 @@ mod tests {
     fn serves_metrics_trace_and_health() {
         let registry = Arc::new(Registry::new());
         registry.counter("obs.test_hits").inc(3);
-        let trace = shared_trace();
-        let server = MetricsServer::start(
-            "127.0.0.1:0",
-            Arc::clone(&registry),
-            Arc::clone(&trace),
-            shared_runs(),
-        )
+        let runs = shared_runs();
+        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&runs))
         .expect("bind ephemeral");
         let addr = server.addr();
 
@@ -1048,11 +1040,11 @@ mod tests {
         // The server's own request accounting lands in the same registry.
         assert!(body.contains("serve_requests"), "{body}");
 
-        // /trace 404s until a trace is published…
+        // /trace 404s until a run is published…
         let (head, _) = get(addr, "/trace");
         assert!(head.starts_with("HTTP/1.1 404"));
-        // …then serves the latest one.
-        *trace.lock() = Some(PipelineTrace::default());
+        // …then serves the newest run's trace.
+        runs.lock().publish(1, None, PipelineTrace::default(), Default::default());
         let (head, body) = get(addr, "/trace");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert!(body.contains("\"stages\""));
@@ -1067,12 +1059,7 @@ mod tests {
     fn serves_metrics_history() {
         let registry = Arc::new(Registry::new());
         registry.counter("obs.history_hits").inc(2);
-        let server = MetricsServer::start(
-            "127.0.0.1:0",
-            Arc::clone(&registry),
-            shared_trace(),
-            shared_runs(),
-        )
+        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry), shared_runs())
         .expect("bind ephemeral");
         // The startup tick already saw the counter; force one more so
         // the zero-delta path is exercised over HTTP too.
@@ -1094,12 +1081,7 @@ mod tests {
 
     #[test]
     fn stop_unblocks_and_joins() {
-        let server = MetricsServer::start(
-            "127.0.0.1:0",
-            Arc::new(Registry::new()),
-            shared_trace(),
-            shared_runs(),
-        )
+        let server = MetricsServer::start("127.0.0.1:0", Arc::new(Registry::new()), shared_runs())
         .expect("bind");
         let addr = server.addr();
         server.stop();
@@ -1119,9 +1101,8 @@ mod tests {
     #[test]
     fn from_env_is_opt_in() {
         std::env::remove_var(METRICS_ADDR_ENV);
-        let server =
-            MetricsServer::from_env(Arc::new(Registry::new()), shared_trace(), shared_runs())
-                .expect("no bind attempted");
+        let server = MetricsServer::from_env(Arc::new(Registry::new()), shared_runs())
+            .expect("no bind attempted");
         assert!(server.is_none());
     }
 
@@ -1143,8 +1124,13 @@ mod tests {
             candidates: vec![],
             lineage: None,
         });
+        // Each run's trace is told apart by its total wall time.
+        let trace = |i: usize| PipelineTrace {
+            total_us: i as u64,
+            ..PipelineTrace::default()
+        };
         for i in 0..(RUNS_KEPT + 3) {
-            store.publish(i as u64, ledger.clone());
+            store.publish(i as u64, None, trace(i), ledger.clone());
         }
         assert_eq!(store.len(), RUNS_KEPT);
         assert_eq!(store.evicted(), 3);
@@ -1152,6 +1138,18 @@ mod tests {
         let ids: Vec<&str> = store.runs().map(|r| r.id.as_str()).collect();
         assert_eq!(ids[0], "run-4");
         assert_eq!(ids.last().copied(), Some(format!("run-{}", RUNS_KEPT + 3).as_str()));
+        // A run's trace is evicted with its ledger: each retained record
+        // still holds the trace it was published with.
+        let totals: Vec<u64> = store.runs().map(|r| r.trace.total_us).collect();
+        assert_eq!(totals, (3..RUNS_KEPT as u64 + 3).collect::<Vec<_>>());
+        assert!(store.runs().all(|r| r.trace.job_id.is_none() && r.job.is_none()));
+        // Publishing with a job stamps that record's trace with it.
+        let id = store.publish(99, Some("job-7".into()), trace(99), ledger.clone());
+        let latest = store.latest().expect("just published");
+        assert_eq!(latest.id, id);
+        assert_eq!(latest.job.as_deref(), Some("job-7"));
+        assert_eq!(latest.trace.job_id.as_deref(), Some("job-7"));
+        assert_eq!(latest.trace.total_us, 99);
         assert!(store.chain("did-0xf40d").is_some());
         assert!(store.chain("nope").is_none());
         assert_eq!(store.known_sensors(), vec!["did-0xf40d".to_string()]);
@@ -1163,7 +1161,7 @@ mod tests {
         let evicted = dpr_telemetry::scoped(Arc::clone(&registry), || {
             let mut store = RunStore::with_capacity(2);
             for i in 0..5 {
-                store.publish(i, dpr_evidence::EvidenceLedger::default());
+                store.publish(i, None, PipelineTrace::default(), Default::default());
             }
             assert_eq!(store.len(), 2);
             store.evicted()

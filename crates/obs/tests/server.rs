@@ -2,8 +2,8 @@
 //! scrape it with a plain `std::net::TcpStream`, and round-trip the body
 //! through a Prometheus text-exposition line-format checker.
 
-use dpr_obs::{prom, shared_trace, MetricsServer};
-use dpr_telemetry::Registry;
+use dpr_obs::{prom, MetricsServer};
+use dpr_telemetry::{PipelineTrace, Registry};
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -118,12 +118,7 @@ fn scraped_metrics_pass_the_exposition_line_checker() {
         h.record(v);
     }
 
-    let server = MetricsServer::start(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        shared_trace(),
-        dpr_obs::shared_runs(),
-    )
+    let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry), dpr_obs::shared_runs())
     .expect("bind ephemeral port");
     let (head, body) = get(server.addr(), "/metrics");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -139,19 +134,17 @@ fn scraped_metrics_pass_the_exposition_line_checker() {
 #[test]
 fn runs_and_evidence_routes_serve_published_runs() {
     let runs = dpr_obs::shared_runs();
-    let server = MetricsServer::start(
-        "127.0.0.1:0",
-        Arc::new(Registry::new()),
-        shared_trace(),
-        Arc::clone(&runs),
-    )
+    let server = MetricsServer::start("127.0.0.1:0", Arc::new(Registry::new()), Arc::clone(&runs))
     .expect("bind ephemeral port");
     let addr = server.addr();
 
-    // Empty store: /runs is an empty array, /evidence/<x> 404s.
+    // Empty store: /runs is an empty array, /trace and /evidence/<x>
+    // 404.
     let (head, body) = get(addr, "/runs");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert_eq!(body.trim(), "[]");
+    let (head, _) = get(addr, "/trace");
+    assert!(head.starts_with("HTTP/1.1 404"), "{head}");
     let (head, _) = get(addr, "/evidence/did-0xf40d");
     assert!(head.starts_with("HTTP/1.1 404"), "{head}");
 
@@ -171,9 +164,14 @@ fn runs_and_evidence_routes_serve_published_runs() {
         candidates: vec![],
         lineage: None,
     });
-    runs.lock().publish(1_000, ledger.clone());
+    // Each run's trace is told apart by its total wall time.
+    let trace = |total_us| PipelineTrace {
+        total_us,
+        ..PipelineTrace::default()
+    };
+    runs.lock().publish(1_000, Some("job-1".into()), trace(111), ledger.clone());
     ledger.chains[0].formula = "X0 * 0.5".into();
-    runs.lock().publish(2_000, ledger);
+    runs.lock().publish(2_000, Some("job-2".into()), trace(222), ledger);
 
     let (head, body) = get(addr, "/runs");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -185,6 +183,13 @@ fn runs_and_evidence_routes_serve_published_runs() {
     assert_eq!(listing[0].at_ms, 1_000);
     assert_eq!(listing[1].id, "run-2");
     assert_eq!(listing[1].sensors, vec!["did-0xf40d".to_string()]);
+
+    // /trace serves the second (newest) run's trace, stamped with its job.
+    let (head, body) = get(addr, "/trace");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let served: PipelineTrace = dpr_telemetry::json::from_str(&body).expect("parse /trace");
+    assert_eq!(served.total_us, 222);
+    assert_eq!(served.job_id.as_deref(), Some("job-2"));
 
     let (head, body) = get(addr, "/evidence/did-0xf40d");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -210,7 +215,6 @@ fn slow_client_does_not_block_other_requests() {
     let server = MetricsServer::start(
         "127.0.0.1:0",
         Arc::new(Registry::new()),
-        shared_trace(),
         dpr_obs::shared_runs(),
     )
     .expect("bind ephemeral port");

@@ -27,6 +27,7 @@
 
 #![allow(unsafe_code)]
 
+use dpr_telemetry::log;
 use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
@@ -231,7 +232,7 @@ where
             workers: extras,
             epoch: st.epoch,
             registry,
-            log_context: Arc::new(dpr_log::context_snapshot()),
+            log_context: Arc::new(log::context_snapshot()),
             panic: Arc::clone(&panic_slot),
         });
         st.active = extras;
@@ -303,7 +304,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         // every span, counter, or log record emitted inside the mapped
         // function would lose its run attribution. The panic is caught
         // *inside* the scope so `scoped` always unwinds its stack cleanly.
-        dpr_log::with_context(&job.log_context, || dpr_telemetry::scoped(Arc::clone(&job.registry), || {
+        log::with_context(&job.log_context, || dpr_telemetry::scoped(Arc::clone(&job.registry), || {
             // SAFETY: the submitter blocks until we decrement `active`
             // below, so the `Ctx` behind `task.data` is still alive. The
             // caller holds stats slot 0, so pool thread N records as

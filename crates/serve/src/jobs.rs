@@ -8,14 +8,16 @@
 //! backpressure point: a full queue is an error the HTTP layer turns
 //! into `429 Too Many Requests` *before* reading the request body.
 //!
-//! Progress reporting rides the telemetry spans the pipeline already
-//! emits: each job carries a [`StageProgress`] sink that records
-//! pipeline stage spans as they close, so `GET /jobs/<id>` can say
-//! which stages a running job has finished without the pipeline knowing
-//! the service exists.
+//! Progress reporting rides the structured log the pipeline already
+//! writes: each job carries a [`JobTap`] that, while the job runs,
+//! follows the job's `stage complete` records, so `GET /jobs/<id>` can
+//! say which stages a running job has finished without the pipeline
+//! knowing the service exists.
 
 use dpr_capture::CaptureSession;
-use dpr_telemetry::{Registry, Ring, Sink, SpanRecord};
+use dpr_telemetry::log::{FieldValue, LogSink, Record};
+use dpr_telemetry::trace::completed_stage;
+use dpr_telemetry::{Registry, Ring};
 use parking_lot::Mutex as PlMutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -42,7 +44,7 @@ pub struct JobEvent {
     /// Position on this job's stream, starting at 0. Every subscriber
     /// sees the same sequence (modulo drops at the two bounds).
     pub seq: u64,
-    /// Microseconds since process start ([`dpr_log::now_us`]).
+    /// Microseconds since process start ([`dpr_telemetry::log::now_us`]).
     pub t_us: u64,
     /// `state` (lifecycle transition), `stage` (pipeline stage
     /// finished), or `log` (a structured log record about this job).
@@ -167,7 +169,7 @@ impl EventHub {
         }
         let event = JobEvent {
             seq: state.next_seq,
-            t_us: dpr_log::now_us(),
+            t_us: dpr_telemetry::log::now_us(),
             kind: kind.to_string(),
             what: what.to_string(),
             detail: detail.to_string(),
@@ -308,11 +310,6 @@ impl std::fmt::Debug for WorkerHealth {
     }
 }
 
-/// Pipeline stage names [`StageProgress`] watches for. `ecr` runs
-/// unspanned inside the association stage; everything else matches the
-/// spans `DpReverser` enters per stage.
-pub const STAGE_NAMES: [&str; 5] = ["capture", "transport", "ocr", "association", "inference"];
-
 /// What one job analyzes.
 #[derive(Debug)]
 pub enum JobInput {
@@ -322,46 +319,47 @@ pub enum JobInput {
     Car(String),
 }
 
-/// A [`Sink`] recording which pipeline stages a running job has
-/// finished, attached to the job's private telemetry registry. With a
-/// hub attached it also pushes a `stage` event per finished stage, so
-/// `GET /jobs/<id>/events` streams stage transitions live.
-#[derive(Debug, Default)]
-pub struct StageProgress {
+/// One job's log tap, attached to the global logger while the job runs.
+///
+/// It keeps the records whose (context-supplied) `job_id` is this job's.
+/// A `pipeline`/`stage complete` record marks its stage done and pushes
+/// a `stage` event (detail: the stage's `wall_us`); every kept record is
+/// then mirrored as a `log` event carrying its full JSON line. Like
+/// every [`LogSink`] it runs on the emitting thread and never blocks:
+/// [`EventHub::push`] drops for slow subscribers instead of waiting.
+#[derive(Debug)]
+pub struct JobTap {
+    job: String,
     done: PlMutex<Vec<String>>,
-    hub: Option<Arc<EventHub>>,
+    events: Arc<EventHub>,
 }
 
-impl StageProgress {
-    /// A progress sink that mirrors stage completions onto `hub`.
-    pub fn with_hub(hub: Arc<EventHub>) -> StageProgress {
-        StageProgress {
+impl JobTap {
+    /// A tap for the job with external id `job`, streaming onto `events`.
+    pub(crate) fn new(job: String, events: Arc<EventHub>) -> JobTap {
+        JobTap {
+            job,
             done: PlMutex::default(),
-            hub: Some(hub),
+            events,
         }
     }
 
-    /// Stage names closed so far, in completion order.
-    pub fn done(&self) -> Vec<String> {
+    /// Stage names finished so far, in completion order.
+    pub(crate) fn done(&self) -> Vec<String> {
         self.done.lock().clone()
     }
 }
 
-impl Sink for StageProgress {
-    fn span_closed(&self, record: &SpanRecord) {
-        // Stage spans sit at depth 1 (capture, outside the pipeline
-        // span) or depth 2 (under `pipeline`); deeper spans with a
-        // colliding name (e.g. a nested `ocr` helper) are not stages.
-        if record.depth <= 2 && STAGE_NAMES.contains(&record.name) {
-            self.done.lock().push(record.name.to_string());
-            if let Some(hub) = &self.hub {
-                hub.push(
-                    "stage",
-                    record.name,
-                    &format!("{}", record.wall.as_micros()),
-                );
-            }
+impl LogSink for JobTap {
+    fn record(&self, record: &Arc<Record>) {
+        if !matches!(record.field("job_id"), Some(FieldValue::Str(id)) if *id == self.job) {
+            return;
         }
+        if let Some((stage, wall_us)) = completed_stage(record) {
+            self.done.lock().push(stage.to_string());
+            self.events.push("stage", stage, &wall_us.to_string());
+        }
+        self.events.push("log", &record.target, &record.to_json());
     }
 }
 
@@ -429,8 +427,7 @@ impl Phase {
 struct Job {
     source: String,
     phase: Phase,
-    progress: Arc<StageProgress>,
-    events: Arc<EventHub>,
+    tap: Arc<JobTap>,
 }
 
 struct Inner {
@@ -538,8 +535,7 @@ impl JobStore {
             id,
             Job {
                 phase: Phase::Queued(input),
-                progress: Arc::new(StageProgress::with_hub(Arc::clone(&events))),
-                events,
+                tap: Arc::new(JobTap::new(format!("job-{id}"), events)),
                 source,
             },
         );
@@ -552,7 +548,7 @@ impl JobStore {
         // worker's "job started": `take_next` needs the same lock to
         // claim the job. Ambient context carries the HTTP edge's
         // `req_id` in, tying the request to the queue hand-off.
-        dpr_log::info(
+        dpr_telemetry::log::info(
             "serve.job",
             "job accepted",
             &[
@@ -565,10 +561,11 @@ impl JobStore {
         Ok(format!("job-{id}"))
     }
 
-    /// Blocks until a job is available and claims it for a worker.
+    /// Blocks until a job is available and claims it for a worker,
+    /// handing over the job's [`JobTap`] for the worker to attach.
     /// `None` once the store is draining and the FIFO is empty — queued
     /// jobs are always finished before workers exit (graceful drain).
-    pub fn take_next(&self) -> Option<(u64, JobInput, Arc<StageProgress>, Arc<EventHub>)> {
+    pub fn take_next(&self) -> Option<(u64, JobInput, Arc<JobTap>)> {
         let mut inner = lock(&self.inner);
         loop {
             if let Some(id) = inner.queue.pop_front() {
@@ -584,10 +581,8 @@ impl JobStore {
                         continue;
                     }
                 };
-                let progress = Arc::clone(&job.progress);
-                let events = Arc::clone(&job.events);
-                events.push("state", "running", "");
-                return Some((id, input, progress, events));
+                job.tap.events.push("state", "running", "");
+                return Some((id, input, Arc::clone(&job.tap)));
             }
             if inner.draining {
                 return None;
@@ -640,7 +635,7 @@ impl JobStore {
         let mut inner = lock(&self.inner);
         let events = inner.jobs.get_mut(&id).map(|job| {
             job.phase = phase;
-            Arc::clone(&job.events)
+            Arc::clone(&job.tap.events)
         });
         if let Some(old) = inner.finished.push(id) {
             if inner.jobs.get(&old).is_some_and(|j| j.phase.finished()) {
@@ -657,7 +652,7 @@ impl JobStore {
     pub fn subscribe(&self, external: &str) -> Option<Subscriber> {
         let id = parse_id(external)?;
         let inner = lock(&self.inner);
-        inner.jobs.get(&id).map(|job| job.events.subscribe())
+        inner.jobs.get(&id).map(|job| job.tap.events.subscribe())
     }
 
     /// How many jobs are being analyzed right now.
@@ -741,7 +736,7 @@ fn job_status(id: u64, job: &Job) -> JobStatus {
         id: format!("job-{id}"),
         state: job.phase.state().to_string(),
         source: job.source.clone(),
-        stages_done: job.progress.done(),
+        stages_done: job.tap.done(),
         stages,
         run_id,
         error,
@@ -766,7 +761,7 @@ mod tests {
         assert_eq!(store.status("job-1").unwrap().state, "queued");
         assert_eq!(store.queue_len(), 1);
 
-        let (raw, input, _progress, _events) = store.take_next().unwrap();
+        let (raw, input, _tap) = store.take_next().unwrap();
         assert_eq!(raw, 1);
         assert!(matches!(input, JobInput::Car(name) if name == "M"));
         assert_eq!(store.status("job-1").unwrap().state, "running");
@@ -832,7 +827,7 @@ mod tests {
         let (store, registry) = store(8, 2);
         for _ in 0..5 {
             let id = store.submit("car:M".into(), JobInput::Car("M".into())).unwrap();
-            let (raw, _, _, _) = store.take_next().unwrap();
+            let (raw, _, _) = store.take_next().unwrap();
             store.complete(raw, "run-x".into(), "{}".into(), vec![], 1);
             assert_eq!(store.status(&id).unwrap().state, "done");
         }
@@ -845,22 +840,50 @@ mod tests {
     }
 
     #[test]
-    fn stage_progress_records_stage_spans_only() {
-        use dpr_telemetry::Span;
-        let progress = Arc::new(StageProgress::default());
-        let registry = Arc::new(Registry::new());
-        registry.add_sink(Arc::clone(&progress) as Arc<dyn Sink>);
-        dpr_telemetry::scoped(registry, || {
-            let _pipeline = Span::enter("pipeline");
-            {
-                let _t = Span::enter("transport");
-            }
-            {
-                let _o = Span::enter("ocr");
-                // Depth-3 span with a stage name must not count.
-                let _nested = Span::enter("transport");
-            }
-        });
-        assert_eq!(progress.done(), vec!["transport".to_string(), "ocr".to_string()]);
+    fn job_tap_turns_its_jobs_stage_records_into_progress() {
+        let events = Arc::new(EventHub::new(Arc::new(Registry::new())));
+        let tap = JobTap::new("job-1".into(), Arc::clone(&events));
+        let stage_record = |job: &str, target: &str, stage: &str| {
+            Arc::new(Record {
+                t_us: 0,
+                level: dpr_telemetry::log::Level::Info,
+                target: target.to_string(),
+                message: "stage complete".to_string(),
+                fields: vec![
+                    ("job_id".to_string(), FieldValue::from(job)),
+                    ("stage".to_string(), FieldValue::from(stage)),
+                    ("wall_us".to_string(), FieldValue::U64(42)),
+                ],
+            })
+        };
+        tap.record(&stage_record("job-1", "pipeline", "transport"));
+        // Another job's stage, and a stage record from outside the
+        // pipeline, are not this job's progress.
+        tap.record(&stage_record("job-2", "pipeline", "ocr"));
+        tap.record(&stage_record("job-1", "other", "ocr"));
+        tap.record(&stage_record("job-1", "pipeline", "ecr"));
+        assert_eq!(tap.done(), vec!["transport".to_string(), "ecr".to_string()]);
+
+        // Each stage event precedes the log event of its record; the
+        // other job's record never reaches this stream.
+        events.finish();
+        let mut stream = events.subscribe();
+        let mut seen = Vec::new();
+        while let EventWait::Event(event) = stream.wait(Duration::ZERO) {
+            seen.push(event);
+        }
+        let kinds: Vec<(&str, &str)> =
+            seen.iter().map(|e| (e.kind.as_str(), e.what.as_str())).collect();
+        assert!(seen.iter().filter(|e| e.kind == "stage").all(|e| e.detail == "42"));
+        assert_eq!(
+            kinds,
+            vec![
+                ("stage", "transport"),
+                ("log", "pipeline"),
+                ("log", "other"),
+                ("stage", "ecr"),
+                ("log", "pipeline"),
+            ]
+        );
     }
 }

@@ -16,15 +16,16 @@
 //!   not an out-of-memory event. Queue depth is exported as the
 //!   `jobs.queue_depth` gauge.
 //! * `GET /jobs/<id>` reports `queued` / `running` / `done` / `failed`
-//!   with per-stage progress (the stage spans of the job's
-//!   [`PipelineTrace`](dpr_telemetry::PipelineTrace), observed live by
-//!   a span sink). `GET /jobs/<id>/result` serves the canonical result
+//!   with per-stage progress (the job's `stage complete` log records,
+//!   followed live by its [`JobTap`]). `GET /jobs/<id>/result` serves
+//!   the canonical result
 //!   JSON — byte-identical to what a direct
 //!   `DpReverser::analyze_capture` call would produce.
-//! * Completed runs publish their evidence ledgers into the shared
-//!   [`RunStore`](dpr_obs::RunStore), so the existing `/runs` and
-//!   `/evidence/<sensor>` observability routes work on service results
-//!   unchanged, alongside `/metrics`, `/trace`, and `/healthz`.
+//! * Completed runs publish their trace and evidence ledger as one
+//!   record into the shared [`RunStore`](dpr_obs::RunStore), so the
+//!   existing `/runs`, `/trace` and `/evidence/<sensor>` observability
+//!   routes work on service results unchanged, alongside `/metrics` and
+//!   `/healthz`.
 //!
 //! The HTTP substrate (bounded request parsing, slot-map session table
 //! with idle timeouts, handler pool) lives in [`dpr_obs`]; this crate
@@ -40,13 +41,13 @@ pub mod router;
 mod worker;
 
 pub use jobs::{
-    EventHub, EventWait, JobEvent, JobInput, JobStatus, JobStore, ResultLookup, StageLine,
-    StageProgress, SubmitError, Subscriber, WorkerHealth, WorkerReport, EVENT_HISTORY, JOBS_KEPT,
-    STAGE_NAMES, SUBSCRIBER_QUEUE,
+    EventHub, EventWait, JobEvent, JobInput, JobStatus, JobStore, JobTap, ResultLookup, StageLine,
+    SubmitError, Subscriber, WorkerHealth, WorkerReport, EVENT_HISTORY, JOBS_KEPT,
+    SUBSCRIBER_QUEUE,
 };
 pub use router::{ServiceHealth, ServiceRouter, SubmitResponse, SERVE_ROUTES};
 
-use dpr_obs::{shared_runs, shared_trace, HttpServer, ObsRouter, ServerConfig, SharedRuns, SharedTrace};
+use dpr_obs::{shared_runs, HttpServer, ObsRouter, ServerConfig, SharedRuns};
 use dpr_obs::series::{service_slos, Sampler, SeriesConfig};
 use dpr_telemetry::Registry;
 use std::io;
@@ -118,7 +119,6 @@ pub struct AnalysisService {
     workers: Vec<JoinHandle<()>>,
     registry: Arc<Registry>,
     runs: SharedRuns,
-    trace: SharedTrace,
     health: Arc<WorkerHealth>,
     series: Option<Arc<Sampler>>,
 }
@@ -133,7 +133,6 @@ impl AnalysisService {
         analyzer: Arc<dyn Analyzer>,
     ) -> io::Result<AnalysisService> {
         let registry = Arc::new(Registry::new());
-        let trace = shared_trace();
         let runs = shared_runs();
         let store = Arc::new(JobStore::new(
             config.queue_capacity,
@@ -148,13 +147,12 @@ impl AnalysisService {
             let store = Arc::clone(&store);
             let analyzer = Arc::clone(&analyzer);
             let registry = Arc::clone(&registry);
-            let trace = Arc::clone(&trace);
             let runs = Arc::clone(&runs);
             let health = Arc::clone(&health);
             let handle = std::thread::Builder::new()
                 .name(name)
                 .spawn(move || {
-                    worker::run_worker(slot, store, analyzer, registry, trace, runs, health)
+                    worker::run_worker(slot, store, analyzer, registry, runs, health)
                 })?;
             workers.push(handle);
         }
@@ -165,7 +163,7 @@ impl AnalysisService {
                 service_slos(config.queue_capacity),
             )
         });
-        let mut obs = ObsRouter::new(Arc::clone(&registry), Arc::clone(&trace), Arc::clone(&runs));
+        let mut obs = ObsRouter::new(Arc::clone(&registry), Arc::clone(&runs));
         if let Some(sampler) = &series {
             obs = obs.with_series(Arc::clone(sampler));
         }
@@ -197,7 +195,6 @@ impl AnalysisService {
             workers,
             registry,
             runs,
-            trace,
             health,
             series,
         })
@@ -221,14 +218,10 @@ impl AnalysisService {
         &self.store
     }
 
-    /// The shared run store `/runs` and `/evidence/<sensor>` serve.
+    /// The shared run store `/runs`, `/trace` and `/evidence/<sensor>`
+    /// serve.
     pub fn runs(&self) -> &SharedRuns {
         &self.runs
-    }
-
-    /// The latest-trace cell `/trace` serves.
-    pub fn trace(&self) -> &SharedTrace {
-        &self.trace
     }
 
     /// The analysis workers' heartbeat board `/healthz` reports.

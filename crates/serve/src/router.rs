@@ -179,7 +179,7 @@ impl ServiceRouter {
             Some(sampler) => json_value(&sampler.history()),
             None => Value::Null,
         };
-        let ring = dpr_log::logger().ring();
+        let ring = dpr_telemetry::log::logger().ring();
         // Records first: `pushed` only grows, so it never reads below
         // the number of records listed.
         let records = ring

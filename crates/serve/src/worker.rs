@@ -3,47 +3,26 @@
 //!
 //! Each job runs against its own fresh [`Registry`] (scoped
 //! thread-locally for the duration of the analysis) so pipeline
-//! counters never bleed between concurrent jobs, with the job's
-//! [`StageProgress`] attached as a span sink — that is where the live
-//! per-stage progress reported by `GET /jobs/<id>` comes from. Results
-//! publish to the shared run store (evidence chains) and latest-trace
-//! cell, exactly as a direct `dpr-bench` run would.
+//! counters never bleed between concurrent jobs. Results publish to the
+//! shared run store as one record — trace and evidence chains together,
+//! exactly as a direct `dpr-bench` run would.
 //!
-//! Correlation: the worker pushes `job_id` onto its `dpr-log` context
-//! for the duration of the job (the pipeline's stage logs, and —
-//! through `dpr-par`'s context inheritance — records from pool worker
-//! threads all carry it), registers a log tap that mirrors the job's
-//! records onto its [`EventHub`](crate::jobs::EventHub) stream, stamps
-//! the published [`PipelineTrace`](dpr_telemetry::PipelineTrace) with
-//! the job id, and publishes the run with the job attached.
+//! Correlation: the worker pushes `job_id` onto its log context for the
+//! duration of the job (the pipeline's stage records, and — through
+//! `dpr-par`'s context inheritance — records from pool worker threads
+//! all carry it) and attaches the job's [`JobTap`](crate::JobTap) to
+//! the logger. That one tap is where the live per-stage progress
+//! reported by `GET /jobs/<id>` comes from, and it mirrors the job's
+//! records onto its event stream. The run is published with the job
+//! attached, which stamps the served trace's `job_id`.
 
-use crate::jobs::{EventHub, JobStore, StageLine, WorkerHealth};
+use crate::jobs::{JobStore, StageLine, WorkerHealth};
 use crate::Analyzer;
-use dpr_log::{FieldValue, LogSink, Record};
-use dpr_obs::{SharedRuns, SharedTrace};
+use dpr_obs::SharedRuns;
+use dpr_telemetry::log::{self, LogSink};
 use dpr_telemetry::Registry;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-
-/// Mirrors this job's structured log records onto its event stream:
-/// any record whose (context-supplied) `job_id` field matches becomes
-/// a `log` event carrying the full JSON line.
-struct JobLogTap {
-    job: String,
-    events: Arc<EventHub>,
-}
-
-impl LogSink for JobLogTap {
-    fn record(&self, record: &Arc<Record>) {
-        let ours = matches!(
-            record.field("job_id"),
-            Some(FieldValue::Str(id)) if *id == self.job
-        );
-        if ours {
-            self.events.push("log", &record.target, &record.to_json());
-        }
-    }
-}
 
 /// One worker thread's life: block on the queue, analyze, publish,
 /// repeat — until the store drains and `take_next` returns `None`.
@@ -52,24 +31,18 @@ pub(crate) fn run_worker(
     store: Arc<JobStore>,
     analyzer: Arc<dyn Analyzer>,
     service_registry: Arc<Registry>,
-    trace: SharedTrace,
     runs: SharedRuns,
     health: Arc<WorkerHealth>,
 ) {
-    while let Some((id, input, progress, events)) = store.take_next() {
+    while let Some((id, input, job_tap)) = store.take_next() {
         health.beat(slot, "running");
         let external = format!("job-{id}");
-        let _job_ctx = dpr_log::push_context("job_id", external.as_str());
-        dpr_log::info("serve.job", "job started", &[]);
-        let tap = dpr_log::add_sink(Arc::new(JobLogTap {
-            job: external.clone(),
-            events,
-        }) as Arc<dyn LogSink>);
+        let _job_ctx = log::push_context("job_id", external.as_str());
+        log::info("serve.job", "job started", &[]);
+        let tap = log::add_sink(job_tap as Arc<dyn LogSink>);
         // A registry per job: the pipeline's own counters and spans are
-        // job-local, and the progress sink sees only this job's stages.
-        let job_registry = Arc::new(Registry::new());
-        job_registry.add_sink(progress as _);
-        let outcome = dpr_telemetry::scoped(Arc::clone(&job_registry), || {
+        // job-local.
+        let outcome = dpr_telemetry::scoped(Arc::new(Registry::new()), || {
             panic::catch_unwind(AssertUnwindSafe(|| analyzer.analyze(input)))
         });
         match outcome {
@@ -91,19 +64,15 @@ pub(crate) fn run_worker(
                     .unwrap_or(0);
                 // Publish under the service registry so bookkeeping
                 // like `runs.evicted` lands on `/metrics`, not in the
-                // throwaway job registry.
+                // throwaway job registry. The job's own canonical
+                // result stays byte-identical to a direct pipeline run;
+                // only the published trace carries the job id.
                 let run_id = dpr_telemetry::scoped(Arc::clone(&service_registry), || {
                     runs.lock()
-                        .publish_for(at_ms, Some(external.clone()), result.evidence.clone())
+                        .publish(at_ms, Some(external.clone()), result.trace, result.evidence)
                 });
-                // The served trace carries the job id; the job's own
-                // canonical result stays byte-identical to a direct
-                // pipeline run.
-                let mut published = result.trace.clone();
-                published.job_id = Some(external.clone());
-                *trace.lock() = Some(published);
                 service_registry.histogram("jobs.run_us").record(wall_us as f64);
-                dpr_log::info(
+                log::info(
                     "serve.job",
                     "run published",
                     &[
@@ -111,12 +80,12 @@ pub(crate) fn run_worker(
                         ("wall_us", wall_us.into()),
                     ],
                 );
-                dpr_log::remove_sink(tap);
+                log::remove_sink(tap);
                 store.complete(id, run_id, canonical, stages, wall_us);
             }
             Ok(Err(error)) => {
-                dpr_log::warn("serve.job", "job failed", &[("error", error.as_str().into())]);
-                dpr_log::remove_sink(tap);
+                log::warn("serve.job", "job failed", &[("error", error.as_str().into())]);
+                log::remove_sink(tap);
                 store.fail(id, error);
             }
             Err(panic) => {
@@ -125,8 +94,8 @@ pub(crate) fn run_worker(
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "analysis panicked".to_string());
-                dpr_log::warn("serve.job", "job failed", &[("error", what.as_str().into())]);
-                dpr_log::remove_sink(tap);
+                log::warn("serve.job", "job failed", &[("error", what.as_str().into())]);
+                log::remove_sink(tap);
                 store.fail(id, format!("analysis panicked: {what}"));
             }
         }

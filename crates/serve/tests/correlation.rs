@@ -12,12 +12,11 @@ use dp_reverser::{DpReverser, PipelineConfig};
 use dpr_can::Micros;
 use dpr_cps::{collect_vehicle, CollectConfig, CollectionReport};
 use dpr_frames::Scheme;
-use dpr_log::FieldValue;
 use dpr_serve::{
     AnalysisService, Analyzer, JobEvent, JobInput, JobStatus, ServiceConfig, SubmitResponse,
-    STAGE_NAMES,
 };
 use dpr_telemetry::json;
+use dpr_telemetry::log::FieldValue;
 use dpr_tool::{ToolProfile, ToolSession};
 use dpr_vehicle::profiles::{self, CarId};
 use std::io::{Read, Write};
@@ -103,7 +102,7 @@ fn dechunk(body: &str) -> String {
 
 /// The (target, message) pair of a streamed `log` event's record.
 fn log_origin(event: &JobEvent) -> (String, String) {
-    let record = dpr_log::Record::from_json(&event.detail)
+    let record = dpr_telemetry::log::Record::from_json(&event.detail)
         .unwrap_or_else(|| panic!("unparseable log record: {}", event.detail));
     (record.target.clone(), record.message.clone())
 }
@@ -114,7 +113,7 @@ fn one_job_id_correlates_stream_ring_json_log_and_trace() {
         "dpr-serve-correlation-{}.jsonl",
         std::process::id()
     ));
-    dpr_log::set_json_path(Some(&json_path)).expect("enable json sink");
+    dpr_telemetry::log::set_json_path(Some(&json_path)).expect("enable json sink");
 
     let service = AnalysisService::start(
         "127.0.0.1:0",
@@ -180,7 +179,7 @@ fn one_job_id_correlates_stream_ring_json_log_and_trace() {
         .collect();
     assert_eq!(
         streamed_stages,
-        vec!["transport", "ocr", "association", "inference"],
+        vec!["transport", "ocr", "association", "inference", "ecr"],
         "stage events out of pipeline order"
     );
 
@@ -188,13 +187,9 @@ fn one_job_id_correlates_stream_ring_json_log_and_trace() {
     let (_, status_body) = get(addr, &format!("/jobs/{job}"));
     let done: JobStatus = json::from_str(&status_body).unwrap();
     assert_eq!(done.state, "done");
-    let status_stages: Vec<&str> = done
-        .stages
-        .iter()
-        .map(|s| s.name.as_str())
-        .filter(|name| STAGE_NAMES.contains(name))
-        .collect();
+    let status_stages: Vec<&str> = done.stages.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(streamed_stages, status_stages);
+    assert_eq!(done.stages_done, status_stages);
     let run_id = done.run_id.expect("done job has a run id");
     let done_event = events
         .iter()
@@ -209,16 +204,13 @@ fn one_job_id_correlates_stream_ring_json_log_and_trace() {
         .filter(|e| e.kind == "log")
         .map(log_origin)
         .collect();
-    let stage_logs: Vec<&str> = events
+    let stage_logs: Vec<String> = events
         .iter()
         .filter(|e| e.kind == "log")
         .filter_map(|e| {
-            let record = dpr_log::Record::from_json(&e.detail).unwrap();
+            let record = dpr_telemetry::log::Record::from_json(&e.detail).unwrap();
             match (record.message.as_str(), record.field("stage")) {
-                ("stage complete", Some(FieldValue::Str(stage))) => STAGE_NAMES
-                    .iter()
-                    .find(|known| **known == stage.as_str())
-                    .copied(),
+                ("stage complete", Some(FieldValue::Str(stage))) => Some(stage.clone()),
                 _ => None,
             }
         })
@@ -230,7 +222,7 @@ fn one_job_id_correlates_stream_ring_json_log_and_trace() {
     );
 
     // -- The post-hoc ring, filtered to this job_id, matches. ---------
-    let ring: Vec<Arc<dpr_log::Record>> = dpr_log::logger()
+    let ring: Vec<Arc<dpr_telemetry::log::Record>> = dpr_telemetry::log::logger()
         .ring()
         .snapshot()
         .into_iter()
@@ -246,6 +238,7 @@ fn one_job_id_correlates_stream_ring_json_log_and_trace() {
         vec![
             ("serve.job", "job accepted"),
             ("serve.job", "job started"),
+            ("pipeline", "stage complete"),
             ("pipeline", "stage complete"),
             ("pipeline", "stage complete"),
             ("pipeline", "stage complete"),
@@ -274,7 +267,7 @@ fn one_job_id_correlates_stream_ring_json_log_and_trace() {
         .lines()
         .filter(|line| line.contains(&job))
         .map(|line| {
-            dpr_log::Record::from_json(line)
+            dpr_telemetry::log::Record::from_json(line)
                 .unwrap_or_else(|| panic!("unparseable log line: {line}"))
         })
         .filter(|r| matches!(r.field("job_id"), Some(FieldValue::Str(id)) if *id == job))
@@ -295,6 +288,6 @@ fn one_job_id_correlates_stream_ring_json_log_and_trace() {
     );
 
     service.stop();
-    dpr_log::set_json_path(None).expect("disable json sink");
+    dpr_telemetry::log::set_json_path(None).expect("disable json sink");
     let _ = std::fs::remove_file(&json_path);
 }

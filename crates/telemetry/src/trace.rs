@@ -2,14 +2,16 @@
 //! metric activity attributed to it.
 //!
 //! [`TraceBuilder`] wraps a [`Registry`] and attributes counter/gauge
-//! movement to stages by snapshot deltas: everything recorded between
-//! `begin_stage` and `end_stage` — at any depth of the call tree — lands in
-//! that stage's [`StageTrace`]. This works because the pipeline runs its
-//! stages sequentially on one thread; a run that wants exact numbers in a
-//! concurrent process wraps itself in `dpr_telemetry::scoped` with a fresh
-//! registry.
+//! movement to stages by snapshot deltas: everything recorded while a
+//! [`TraceBuilder::stage`] closure runs — at any depth of the call tree —
+//! lands in that stage's [`StageTrace`]. This works because the pipeline
+//! runs its stages sequentially on one thread; a run that wants exact
+//! numbers in a concurrent process wraps itself in `dpr_telemetry::scoped`
+//! with a fresh registry.
 
+use crate::log::{FieldValue, Record};
 use crate::metrics::{MetricsSnapshot, Registry};
+use crate::Span;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -46,9 +48,9 @@ pub struct PipelineTrace {
     /// Final gauge values at the end of the run.
     pub gauges: BTreeMap<String, i64>,
     /// The service job this trace belongs to (`job-N`), stamped by
-    /// `dpr-serve` when it publishes a job's trace; `None` for direct
-    /// runs. Correlates `GET /trace` output with log records and the
-    /// job table.
+    /// `RunStore::publish` when a service job's run is published;
+    /// `None` for direct runs. Correlates `GET /trace` output with log
+    /// records and the job table.
     pub job_id: Option<String>,
 }
 
@@ -73,6 +75,24 @@ impl PipelineTrace {
     }
 }
 
+/// Target and message of the record [`TraceBuilder::stage`] logs when a
+/// stage ends.
+const STAGE_TARGET: &str = "pipeline";
+const STAGE_COMPLETE: &str = "stage complete";
+
+/// The stage name and wall time (µs) of a `stage complete` record that
+/// [`TraceBuilder::stage`] logged; `None` for any other record. This is
+/// how a log tap follows a run's progress.
+pub fn completed_stage(record: &Record) -> Option<(&str, u64)> {
+    if record.target != STAGE_TARGET || record.message != STAGE_COMPLETE {
+        return None;
+    }
+    match (record.field("stage"), record.field("wall_us")) {
+        (Some(FieldValue::Str(stage)), Some(FieldValue::U64(wall_us))) => Some((stage, *wall_us)),
+        _ => None,
+    }
+}
+
 /// Builds a [`PipelineTrace`] across sequential stages.
 #[derive(Debug)]
 pub struct TraceBuilder {
@@ -80,7 +100,6 @@ pub struct TraceBuilder {
     run_start: Instant,
     baseline: MetricsSnapshot,
     stages: Vec<StageTrace>,
-    open: Option<(String, Instant, MetricsSnapshot)>,
 }
 
 impl TraceBuilder {
@@ -92,42 +111,42 @@ impl TraceBuilder {
             run_start: Instant::now(),
             baseline,
             stages: Vec::new(),
-            open: None,
         }
     }
 
-    /// Opens a stage, closing any still-open one first.
-    pub fn begin_stage(&mut self, name: &str) {
-        self.end_stage();
-        self.open = Some((name.to_string(), Instant::now(), self.registry.snapshot()));
-    }
-
-    /// Closes the open stage, recording its wall time and counter deltas.
-    /// No-op when no stage is open.
-    pub fn end_stage(&mut self) {
-        if let Some((name, started, before)) = self.open.take() {
-            let now = self.registry.snapshot();
-            self.stages.push(StageTrace {
-                name,
-                wall_us: started.elapsed().as_micros() as u64,
-                counters: now.counter_deltas_since(&before),
-            });
-        }
-    }
-
-    /// Runs `f` as a named stage and returns its result.
-    pub fn stage<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        self.begin_stage(name);
-        let result = f();
-        self.end_stage();
+    /// Runs `f` as the named stage and returns its result.
+    ///
+    /// This is the one place a pipeline stage is announced: `f` runs
+    /// inside a [`Span`] of the same name, the stage's wall time and
+    /// counter deltas become one [`StageTrace`], and one
+    /// `pipeline`/`stage complete` log record with `stage` and
+    /// `wall_us` fields follows.
+    pub fn stage<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
+        let started = Instant::now();
+        let before = self.registry.snapshot();
+        let result = {
+            let _span = Span::enter(name);
+            f()
+        };
+        let counters = self.registry.snapshot().counter_deltas_since(&before);
+        let wall_us = started.elapsed().as_micros() as u64;
+        self.stages.push(StageTrace {
+            name: name.to_string(),
+            wall_us,
+            counters,
+        });
+        crate::log::info(
+            STAGE_TARGET,
+            STAGE_COMPLETE,
+            &[("stage", name.into()), ("wall_us", wall_us.into())],
+        );
         result
     }
 
-    /// Closes any open stage and produces the final trace. Counter and
-    /// gauge totals are relative to the builder's creation, so a reused
-    /// registry does not leak earlier runs into this trace.
-    pub fn finish(mut self) -> PipelineTrace {
-        self.end_stage();
+    /// Produces the final trace. Counter and gauge totals are relative
+    /// to the builder's creation, so a reused registry does not leak
+    /// earlier runs into this trace.
+    pub fn finish(self) -> PipelineTrace {
         let now = self.registry.snapshot();
         PipelineTrace {
             stages: self.stages,
@@ -146,8 +165,27 @@ mod tests {
 
     #[test]
     fn stages_attribute_counter_deltas() {
+        use crate::log::{self, LogSink};
+        use crate::Collector;
+        use parking_lot::Mutex;
+
+        /// Keeps this thread's records: the ones carrying its context.
+        struct Tap(Mutex<Vec<Arc<Record>>>);
+        impl LogSink for Tap {
+            fn record(&self, record: &Arc<Record>) {
+                if record.field("job_id") == Some(&FieldValue::Str("trace-stages".into())) {
+                    self.0.lock().push(Arc::clone(record));
+                }
+            }
+        }
+
         let reg = Arc::new(Registry::new());
+        let spans = Arc::new(Collector::new());
+        reg.add_sink(Arc::clone(&spans) as _);
+        let tap = Arc::new(Tap(Mutex::new(Vec::new())));
+        let tap_id = log::add_sink(Arc::clone(&tap) as Arc<dyn LogSink>);
         let trace = scoped(Arc::clone(&reg), || {
+            let _ctx = log::push_context("job_id", "trace-stages");
             let mut builder = TraceBuilder::new(Arc::clone(&reg));
             builder.stage("read", || {
                 crate::counter("frames.seen").inc(10);
@@ -158,6 +196,7 @@ mod tests {
             });
             builder.finish()
         });
+        log::remove_sink(tap_id);
         assert_eq!(trace.stages.len(), 2);
         let read = trace.stage("read").expect("read stage");
         assert_eq!(read.counters.get("frames.seen"), Some(&10));
@@ -166,6 +205,20 @@ mod tests {
         assert_eq!(matching.counters.get("frames.seen"), Some(&2));
         assert_eq!(matching.counters.get("pairs.formed"), Some(&4));
         assert_eq!(trace.counters.get("frames.seen"), Some(&12));
+
+        // Each stage(..) call is one span, one StageTrace and one
+        // `stage complete` record, all under the stage's name.
+        let span_names: Vec<&str> = spans.records().iter().map(|r| r.name).collect();
+        assert_eq!(span_names, vec!["read", "match"]);
+        let records = tap.0.lock();
+        assert_eq!(records.len(), 2, "{records:?}");
+        for (record, stage) in records.iter().zip(&trace.stages) {
+            assert_eq!(record.target, "pipeline");
+            assert_eq!(record.message, "stage complete");
+            assert_eq!(record.field("stage"), Some(&FieldValue::from(stage.name.as_str())));
+            assert_eq!(record.field("wall_us"), Some(&FieldValue::U64(stage.wall_us)));
+            assert_eq!(completed_stage(record), Some((stage.name.as_str(), stage.wall_us)));
+        }
     }
 
     #[test]
