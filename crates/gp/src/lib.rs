@@ -22,9 +22,9 @@
 //! * a constant-polishing hill climb that refines numeric leaves of the
 //!   winning expression (the GP analogue of gplearn's final tuning).
 //!
-//! Fitness scoring runs through [`CompiledExpr`], a postfix-bytecode
-//! compilation of each structurally distinct genome evaluated batch-wise
-//! over the whole data set, and is
+//! Fitness scoring evaluates each structurally distinct genome straight
+//! from its pre-order slice, batch-wise over the whole data set
+//! ([`score::error_on`]), and is
 //! one `par_map` over the [`dpr_par`] worker pool (`DPR_THREADS`). In the
 //! pipeline whole fits already run in parallel, one per sensor, so that
 //! call is nested and drains inline. Both are bit-identical to the naive
@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compile;
 mod dataset;
 pub mod dedup;
 mod engine;
@@ -62,11 +61,12 @@ pub mod genome;
 mod model;
 mod refit;
 pub mod scaling;
+pub mod score;
 
-pub use compile::{BatchScratch, Columns, CompiledExpr};
 pub use dataset::{Dataset, DatasetError};
 pub use engine::{FunctionSet, GpConfig, GpReport, SymbolicRegressor};
 pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use fitness::Metric;
 pub use genome::Node;
 pub use model::FittedModel;
+pub use score::{BatchScratch, Columns};

@@ -1,9 +1,9 @@
 //! Property-based tests for the GP engine's invariants.
 
-use dpr_gp::compile::{BatchScratch, Columns, CompiledExpr};
-use dpr_gp::expr::{BinaryOp, Expr};
+use dpr_gp::expr::{BinaryOp, Expr, UnaryOp};
 use dpr_gp::genome::{self, Node};
 use dpr_gp::scaling::{table2_factor, ScalePlan};
+use dpr_gp::score::{error_on, BatchScratch, Columns};
 use dpr_gp::{Dataset, FunctionSet, GpConfig, Metric, SymbolicRegressor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,6 +25,36 @@ fn arb_genome(rng: &mut StdRng, depth: usize) -> Vec<Node> {
 
 fn arb_expr(seed: u64, depth: usize) -> Expr {
     Expr::from_nodes(&arb_genome(&mut StdRng::seed_from_u64(seed), depth))
+}
+
+fn dataset(rows: &[(f64, f64, f64)]) -> Dataset {
+    Dataset::new(
+        rows.iter().map(|(x0, x1, _)| vec![*x0, *x1]).collect(),
+        rows.iter().map(|(_, _, y)| *y).collect(),
+    )
+    .unwrap()
+}
+
+/// Fails unless the batch scorer returns `Metric::error`'s exact bits
+/// for `e` on `data` under every metric.
+fn check_scorer(e: &Expr, data: &Dataset) {
+    let cols = Columns::from_dataset(data);
+    let genome = e.to_nodes();
+    let mut scratch = BatchScratch::new();
+    for metric in [
+        Metric::MeanAbsoluteError,
+        Metric::MeanSquaredError,
+        Metric::Rmse,
+    ] {
+        let want = metric.error(e, data);
+        let got = error_on(&genome, &cols, metric, &mut scratch);
+        assert!(
+            want.to_bits() == got.to_bits(),
+            "{e} with {metric:?}: walker {want:?} ({:#x}) vs scorer {got:?} ({:#x})",
+            want.to_bits(),
+            got.to_bits()
+        );
+    }
 }
 
 proptest! {
@@ -100,10 +130,11 @@ proptest! {
         prop_assert!((raw - manual).abs() < 1e-9 * manual.abs().max(1.0));
     }
 
-    /// Compiled (postfix-bytecode) evaluation is bit-identical to the
-    /// recursive tree walker on random trees over random inputs —
-    /// including NaN/∞ inputs, so the protected division/log/inverse
-    /// special cases and non-finite propagation agree exactly.
+    /// The batch scorer is bit-identical to the recursive tree walker on
+    /// rows of ±1e300, where products overflow to ∞ and ∞ − ∞ turns NaN
+    /// mid-tree, and on the zero and near-zero rows that take the
+    /// protected division/log/inverse branches. (A data set holds only
+    /// finite inputs, so non-finite values can only arise inside a tree.)
     #[test]
     fn compiled_eval_matches_recursive(
         seed in any::<u64>(),
@@ -113,82 +144,100 @@ proptest! {
         special in 0u8..6,
     ) {
         let e = arb_expr(seed, depth);
-        let c = CompiledExpr::compile(&e.to_nodes());
-        // Mix plain finite rows with rows exercising NaN/∞ propagation and
-        // the protected div-by-zero / log(0) / inv(0) branches.
-        let row: [f64; 2] = match special {
-            0 => [f64::NAN, x1],
-            1 => [f64::INFINITY, x1],
-            2 => [x0, f64::NEG_INFINITY],
-            3 => [0.0, 0.0],
-            4 => [x0, 1e-12],
-            _ => [x0, x1],
+        let row = match special {
+            0 => (1e300, x1),
+            1 => (-1e300, 1e300),
+            2 => (x0, -1e300),
+            3 => (0.0, 0.0),
+            4 => (x0, 1e-12),
+            _ => (x0, x1),
         };
-        let a = e.eval(&row);
-        let b = c.eval(&row);
-        prop_assert!(
-            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-            "{e} on {row:?}: {a:?} ({:#x}) vs {b:?} ({:#x})", a.to_bits(), b.to_bits()
-        );
-        // Fusion only shrinks the one-op-per-node program.
-        prop_assert!(c.ops().len() <= e.size());
+        check_scorer(&e, &dataset(&[(row.0, row.1, 1.0), (x0, x1, -2.0)]));
     }
 
-    /// The batch (column-wise) error path returns exactly what
-    /// `Metric::error` computes with the recursive evaluator.
+    /// The batch scorer returns exactly what `Metric::error` computes with
+    /// the recursive evaluator.
     #[test]
     fn compiled_batch_error_matches_metric(
         seed in any::<u64>(),
         rows in proptest::collection::vec((-1e4f64..1e4, -1e4f64..1e4, -1e4f64..1e4), 1..40),
     ) {
-        let e = arb_expr(seed, 6);
-        let data = Dataset::new(
-            rows.iter().map(|(x0, x1, _)| vec![*x0, *x1]).collect(),
-            rows.iter().map(|(_, _, y)| *y).collect(),
-        ).unwrap();
-        let cols = Columns::from_dataset(&data);
-        let compiled = CompiledExpr::compile(&e.to_nodes());
-        let mut scratch = BatchScratch::new();
-        for metric in [Metric::MeanAbsoluteError, Metric::MeanSquaredError, Metric::Rmse] {
-            let want = metric.error(&e, &data);
-            let got = compiled.error_on(&cols, metric, &mut scratch);
-            prop_assert!(
-                want.to_bits() == got.to_bits(),
-                "{e} with {metric:?}: {want} vs {got}"
-            );
-        }
+        check_scorer(&arb_expr(seed, 6), &dataset(&rows));
     }
 
-    /// Superinstruction fusion is bit-identical to unfused evaluation on
-    /// the batch path. The unfused reference is the recursive tree walk,
-    /// one `apply` per node. The value range reaches ±1e300 so chained
+    /// The lazy operand stack (columns read in place, constants folded,
+    /// leaf-lhs-over-slab arms) is bit-identical to the tree walk, one
+    /// `apply` per node. The value range reaches ±1e300 so chained
     /// products overflow to ∞ and subtractions of overflows produce NaN
-    /// mid-program — the fused arms must propagate those exactly like the
-    /// tree walk (they call the same protected `apply` in the same order).
+    /// mid-program — every arm must propagate those exactly like the
+    /// tree walk.
     #[test]
     fn fused_batch_scoring_matches_unfused(
         seed in any::<u64>(),
         depth in 1usize..=7,
         rows in proptest::collection::vec((-1e300f64..1e300, -1e300f64..1e300, -1e4f64..1e4), 1..24),
     ) {
-        let e = arb_expr(seed, depth);
-        let data = Dataset::new(
-            rows.iter().map(|(x0, x1, _)| vec![*x0, *x1]).collect(),
-            rows.iter().map(|(_, _, y)| *y).collect(),
-        ).unwrap();
-        let cols = Columns::from_dataset(&data);
-        let fused = CompiledExpr::compile(&e.to_nodes());
-        prop_assert!(fused.ops().len() <= e.size(), "fusion must not grow programs");
-        let mut scratch = BatchScratch::new();
-        for metric in [Metric::MeanAbsoluteError, Metric::MeanSquaredError, Metric::Rmse] {
-            let a = metric.error(&e, &data);
-            let b = fused.error_on(&cols, metric, &mut scratch);
-            prop_assert!(
-                a.to_bits() == b.to_bits(),
-                "{e} with {metric:?}: unfused {a:?} ({:#x}) vs fused {b:?} ({:#x})",
-                a.to_bits(), b.to_bits()
-            );
+        check_scorer(&arb_expr(seed, depth), &dataset(&rows));
+    }
+
+    /// Genomes built to hit the scorer's special paths: constant-only
+    /// subtrees (folded), an out-of-range variable, signed-zero constants
+    /// under `Div`, `Inv` and `Log`, a leaf lhs over a deep rhs, and a deep
+    /// left spine (the deepest reverse-scan stack).
+    #[test]
+    fn shaped_genomes_score_like_the_walker(
+        seed in any::<u64>(),
+        depth in 1usize..=5,
+        zero_sign in any::<bool>(),
+        spine in 1usize..=20,
+        rows in proptest::collection::vec((-1e300f64..1e300, -1e4f64..1e4, -1e4f64..1e4), 1..12),
+    ) {
+        let data = dataset(&rows);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sub = || Expr::from_nodes(&arb_genome(&mut rng, depth));
+        let zero = Expr::Const(if zero_sign { -0.0 } else { 0.0 });
+        let bin = |op, a: Expr, b: Expr| Expr::Binary(op, Box::new(a), Box::new(b));
+        let un = |op, a: Expr| Expr::Unary(op, Box::new(a));
+        // A subtree of constants only: random shape, every leaf a constant.
+        let constant = Expr::from_nodes(
+            &sub()
+                .to_nodes()
+                .into_iter()
+                .map(|n| match n {
+                    Node::Var(i) => Node::Const(f64::from(i) - 0.5),
+                    n => n,
+                })
+                .collect::<Vec<_>>(),
+        );
+        for e in [
+            constant.clone(),
+            bin(BinaryOp::Mul, sub(), constant.clone()),
+            bin(BinaryOp::Sub, constant, sub()),
+            bin(BinaryOp::Add, Expr::Var(2), sub()),
+            un(UnaryOp::Neg, Expr::Var(3)),
+            bin(BinaryOp::Div, sub(), zero.clone()),
+            bin(BinaryOp::Div, zero.clone(), sub()),
+            un(UnaryOp::Inv, zero.clone()),
+            un(UnaryOp::Log, zero.clone()),
+            un(UnaryOp::Inv, bin(BinaryOp::Mul, zero.clone(), sub())),
+            un(UnaryOp::Log, bin(BinaryOp::Add, sub(), zero)),
+        ] {
+            check_scorer(&e, &data);
         }
+        let mut left = sub();
+        let mut leaf_over = sub();
+        for k in 0..spine {
+            let op = BinaryOp::ALL[k % BinaryOp::ALL.len()];
+            let leaf = match k % 3 {
+                0 => Expr::Var(0),
+                1 => Expr::Var(1),
+                _ => Expr::Const(k as f64 - 7.5),
+            };
+            left = bin(op, left, if k % 4 == 3 { sub() } else { leaf.clone() });
+            leaf_over = bin(op, leaf, un(UnaryOp::ALL[k % UnaryOp::ALL.len()], leaf_over));
+        }
+        check_scorer(&left, &data);
+        check_scorer(&leaf_over, &data);
     }
 
     /// Structural dedup never changes scores: every program's error is
@@ -208,22 +257,16 @@ proptest! {
         prop_assert!(groups.reps.len() <= genomes.len());
         prop_assert_eq!(groups.hits(), (population.len() - groups.reps.len()) as u64);
         prop_assert!(groups.hits() >= genomes.len() as u64, "each clone must hit its twin's class");
-        let programs: Vec<CompiledExpr> = population.iter().map(|g| CompiledExpr::compile(g)).collect();
-
-        let data = Dataset::new(
-            rows.iter().map(|(x0, x1, _)| vec![*x0, *x1]).collect(),
-            rows.iter().map(|(_, _, y)| *y).collect(),
-        ).unwrap();
-        let cols = Columns::from_dataset(&data);
+        let cols = Columns::from_dataset(&dataset(&rows));
         let mut scratch = BatchScratch::new();
         let metric = Metric::MeanAbsoluteError;
-        for (i, program) in programs.iter().enumerate() {
-            let rep = &programs[groups.reps[groups.assign[i] as usize]];
-            let own = program.error_on(&cols, metric, &mut scratch);
-            let reused = rep.error_on(&cols, metric, &mut scratch);
+        for (i, genome) in population.iter().enumerate() {
+            let rep = population[groups.reps[groups.assign[i] as usize]];
+            let own = error_on(genome, &cols, metric, &mut scratch);
+            let reused = error_on(rep, &cols, metric, &mut scratch);
             prop_assert!(
                 own.to_bits() == reused.to_bits(),
-                "program {i}: own score {own:?} vs representative's {reused:?}"
+                "genome {i}: own score {own:?} vs representative's {reused:?}"
             );
         }
     }

@@ -152,7 +152,7 @@ pub fn parse_threshold(arg: &str) -> Option<f64> {
 }
 
 /// Flattens a parsed JSON document into `(dotted-key, value)` leaves.
-fn flatten(value: &Value, prefix: &str, out: &mut Vec<(String, Value)>) {
+fn dotted_leaves(value: &Value, prefix: &str, out: &mut Vec<(String, Value)>) {
     match value {
         Value::Object(entries) => {
             for (key, value) in entries {
@@ -161,7 +161,7 @@ fn flatten(value: &Value, prefix: &str, out: &mut Vec<(String, Value)>) {
                 } else {
                     format!("{prefix}.{key}")
                 };
-                flatten(value, &key, out);
+                dotted_leaves(value, &key, out);
             }
         }
         other => out.push((prefix.to_string(), other.clone())),
@@ -189,8 +189,8 @@ fn render_value(value: &Value) -> String {
 pub fn compare(baseline: &Value, current: &Value, max_regress: f64) -> Comparison {
     let mut base_leaves = Vec::new();
     let mut cur_leaves = Vec::new();
-    flatten(baseline, "", &mut base_leaves);
-    flatten(current, "", &mut cur_leaves);
+    dotted_leaves(baseline, "", &mut base_leaves);
+    dotted_leaves(current, "", &mut cur_leaves);
 
     let mut rows = Vec::new();
     for (key, base_value) in &base_leaves {
