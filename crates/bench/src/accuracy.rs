@@ -19,7 +19,7 @@ use dpr_vehicle::ecu::EsvId;
 use dpr_vehicle::profiles::{self, CarId};
 use serde::Serialize;
 
-use crate::{analyze_traced, car_seed, collect_car, par_cars, quick, EXPERIMENT_SEED};
+use crate::{analyze_traced, car_seed, collect_car, par_cars, quick, read_secs, EXPERIMENT_SEED};
 
 /// The four cars whose dashboards Tab. 7 validates.
 pub const TAB7_CARS: [CarId; 4] = [CarId::F, CarId::K, CarId::L, CarId::R];
@@ -82,8 +82,7 @@ pub struct CarAccuracy {
 pub fn cars(ids: &[CarId]) -> Vec<CarAccuracy> {
     par_cars(ids, |id| {
         let seed = car_seed(id);
-        let read_secs = if quick() { 4 } else { 10 };
-        let report = collect_car(id, seed, read_secs);
+        let report = collect_car(id, seed, read_secs());
         let result = analyze_traced(id, seed, &report);
         let precision = evaluate(&result, &report.vehicle);
         let misses = precision
