@@ -8,14 +8,14 @@
 //! The engine's fitness cache only catches children it *knows* were
 //! copied verbatim; this module catches the rest by hashing each
 //! pending child's genome slice, so only one representative per
-//! structural equivalence class is compiled and scored.
+//! structural equivalence class is scored.
 //!
 //! Determinism: grouping is pure bookkeeping. Representatives are
 //! chosen in input order, results are scattered back by index, and a
 //! duplicate's error is the *same `f64`* its representative's scoring
 //! produced — which is bit-for-bit what scoring the duplicate itself
-//! would have returned, since equal genomes compile to the same
-//! program. `gp.dedup_hits` / `gp.dedup_distinct` counters depend only
+//! would have returned, since the scorer reads nothing but the genome
+//! slice and the data. `gp.dedup_hits` / `gp.dedup_distinct` counters depend only
 //! on population contents, so they are identical across thread counts.
 //!
 //! Constants are compared by [`f64::to_bits`], not `==`: `-0.0` and
