@@ -105,6 +105,34 @@ pub struct ReverseEngineeringResult {
     pub evidence: dpr_evidence::EvidenceLedger,
 }
 
+/// A result serialized with its trace zeroed out.
+struct Canonical<'a>(&'a ReverseEngineeringResult);
+
+impl Serialize for Canonical<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        // Destructured in full so a new field cannot be left out.
+        let ReverseEngineeringResult {
+            esvs,
+            ecrs,
+            stats,
+            negatives,
+            alignment_offset_us,
+            trace: _,
+            evidence,
+        } = self.0;
+        let mut result = serializer.serialize_struct("ReverseEngineeringResult", 7)?;
+        result.serialize_field("esvs", esvs)?;
+        result.serialize_field("ecrs", ecrs)?;
+        result.serialize_field("stats", stats)?;
+        result.serialize_field("negatives", negatives)?;
+        result.serialize_field("alignment_offset_us", alignment_offset_us)?;
+        result.serialize_field("trace", &PipelineTrace::default())?;
+        result.serialize_field("evidence", evidence)?;
+        result.end()
+    }
+}
+
 impl ReverseEngineeringResult {
     /// Recovered ESVs that carry formulas.
     pub fn formula_esvs(&self) -> impl Iterator<Item = &RecoveredEsv> {
@@ -116,10 +144,12 @@ impl ReverseEngineeringResult {
     /// recovered artifacts are byte-identical, so every identity
     /// comparison (record/replay determinism, service-vs-direct) goes
     /// through this form.
+    ///
+    /// The result is serialized in place, field by field in declaration
+    /// order with an empty trace written in the trace's slot, so the
+    /// bytes are those of a copy with its trace reset, without the copy.
     pub fn canonical_json(&self) -> String {
-        let mut stripped = self.clone();
-        stripped.trace = PipelineTrace::default();
-        dpr_telemetry::json::to_string(&stripped)
+        dpr_telemetry::json::to_string(&Canonical(self))
             .expect("a recovered result always serializes")
     }
 
@@ -207,5 +237,46 @@ mod tests {
         };
         assert_eq!(result.formula_esvs().count(), 0);
         assert_eq!(result.enum_esvs().count(), 1);
+    }
+
+    #[test]
+    fn canonical_json_is_the_result_with_its_trace_reset() {
+        let esv = RecoveredEsv {
+            key: SourceKey::UdsDid(0xF40D),
+            f_type: Some(7),
+            screen: "Engine".into(),
+            label: "Speed \"km/h\"".into(),
+            kind: RecoveredKind::Enumeration,
+            pairs: 12,
+            x_ranges: vec![(0.0, 255.0)],
+            match_score: 0.5,
+        };
+        let mut trace = PipelineTrace {
+            total_us: 1234,
+            job_id: Some("job-7".into()),
+            ..PipelineTrace::default()
+        };
+        trace.counters.insert("frames".into(), 9);
+        let result = ReverseEngineeringResult {
+            esvs: vec![esv],
+            ecrs: vec![RecoveredEcr {
+                target: EcrTarget::Local30(4),
+                state: vec![3, 0],
+                complete_pattern: true,
+                label: None,
+            }],
+            stats: FrameStats::default(),
+            negatives: 2,
+            alignment_offset_us: -40,
+            trace,
+            evidence: dpr_evidence::EvidenceLedger::default(),
+        };
+        let mut stripped = result.clone();
+        stripped.trace = PipelineTrace::default();
+        assert_eq!(
+            result.canonical_json(),
+            dpr_telemetry::json::to_string(&stripped).expect("serializes")
+        );
+        assert!(!result.canonical_json().contains("job-7"));
     }
 }

@@ -50,7 +50,7 @@ pub mod trace_event;
 pub use flame::Profile;
 pub use regress::{Comparison, Direction, Verdict};
 pub use server::{
-    json_value, route_slug, shared_runs, Conn, HealthStatus, HttpHandler, HttpServer,
+    route_slug, shared_runs, Conn, HealthStatus, HttpHandler, HttpServer,
     MetricsServer, ObsRouter, RunListing, RunRecord, RunStore, ServerConfig, SharedRuns,
     METRICS_ADDR_ENV, OBS_ROUTES, RUNS_KEPT,
 };

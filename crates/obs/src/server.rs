@@ -283,14 +283,6 @@ pub fn route_slug(path: &str) -> &'static str {
     }
 }
 
-/// `value` as a JSON tree. A value the codec cannot encode becomes
-/// `{"error":"<why>"}`, built through the same codec, so every JSON
-/// response body is well-formed.
-pub fn json_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {
-    json::to_value(value)
-        .unwrap_or_else(|e| Value::Object(vec![("error".to_string(), Value::Str(e.to_string()))]))
-}
-
 /// One connection being answered: the stream, the registry that counts
 /// responses, and the request's identity (route slug + `req-NNNNNN`
 /// correlation id). Every response written through [`Conn::respond`] /
@@ -342,14 +334,18 @@ impl<'a> Conn<'a> {
         self.respond_with(status, content_type, &[], body)
     }
 
-    /// Writes `value` as an `application/json` response
-    /// (see [`json_value`] for the encoding-failure body).
+    /// Writes `value` as an `application/json` response. A value the
+    /// codec cannot encode is answered `{"error":"<why>"}`, written by
+    /// the same codec, so every JSON response body is well-formed.
     pub fn respond_json<T: serde::Serialize + ?Sized>(
         &mut self,
         status: &str,
         value: &T,
     ) -> io::Result<()> {
-        self.respond(status, "application/json", &json_value(value).to_json())
+        let body = json::to_string(value).unwrap_or_else(|e| {
+            Value::Object(vec![("error".to_string(), Value::Str(e.to_string()))]).to_json()
+        });
+        self.respond(status, "application/json", &body)
     }
 
     /// [`Conn::respond`] with verbatim extra header lines

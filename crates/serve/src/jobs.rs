@@ -400,7 +400,9 @@ enum Phase {
     Running,
     Done {
         run_id: String,
-        canonical: String,
+        /// Shared with every `GET /jobs/<id>/result` response being
+        /// written, so serving a result never copies it.
+        canonical: Arc<str>,
         stages: Vec<StageLine>,
         wall_us: u64,
     },
@@ -451,7 +453,7 @@ pub enum SubmitError {
 #[derive(Debug)]
 pub enum ResultLookup {
     /// The job finished; here is its canonical result JSON.
-    Done(String),
+    Done(Arc<str>),
     /// The job failed with this error.
     Failed(String),
     /// The job is still `queued` or `running`.
@@ -608,7 +610,7 @@ impl JobStore {
             id,
             Phase::Done {
                 run_id,
-                canonical,
+                canonical: canonical.into(),
                 stages,
                 wall_us,
             },
@@ -689,7 +691,7 @@ impl JobStore {
         };
         let inner = lock(&self.inner);
         match inner.jobs.get(&id).map(|j| &j.phase) {
-            Some(Phase::Done { canonical, .. }) => ResultLookup::Done(canonical.clone()),
+            Some(Phase::Done { canonical, .. }) => ResultLookup::Done(Arc::clone(canonical)),
             Some(Phase::Failed { error }) => ResultLookup::Failed(error.clone()),
             Some(phase) => ResultLookup::Pending(phase.state()),
             None => ResultLookup::Unknown,
@@ -780,7 +782,7 @@ mod tests {
         assert_eq!(status.state, "done");
         assert_eq!(status.run_id.as_deref(), Some("run-1"));
         assert_eq!(status.wall_us, Some(42));
-        assert!(matches!(store.result("job-1"), ResultLookup::Done(j) if j == "{}"));
+        assert!(matches!(store.result("job-1"), ResultLookup::Done(j) if &*j == "{}"));
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counters.get("jobs.submitted"), Some(&1));
         assert_eq!(snapshot.counters.get("jobs.completed"), Some(&1));

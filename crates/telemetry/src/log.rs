@@ -36,6 +36,7 @@ pub use ring::{Ring, RingEntry};
 
 use crate::json::Value;
 use parking_lot::{Mutex, RwLock};
+use serde::ser::{Serialize, SerializeMap, SerializeStruct, Serializer};
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::Write;
@@ -130,24 +131,19 @@ pub enum FieldValue {
     Bool(bool),
 }
 
-impl FieldValue {
-    /// The JSON value this field serializes as.
-    pub fn to_value(&self) -> Value {
+impl Serialize for FieldValue {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         match self {
-            FieldValue::Str(s) => Value::Str(s.clone()),
-            FieldValue::U64(n) => Value::UInt(*n),
-            FieldValue::I64(n) => {
-                if *n >= 0 {
-                    Value::UInt(*n as u64)
-                } else {
-                    Value::Int(*n)
-                }
-            }
-            FieldValue::F64(f) => Value::Float(*f),
-            FieldValue::Bool(b) => Value::Bool(*b),
+            FieldValue::Str(s) => serializer.serialize_str(s),
+            FieldValue::U64(n) => serializer.serialize_u64(*n),
+            FieldValue::I64(n) => serializer.serialize_i64(*n),
+            FieldValue::F64(f) => serializer.serialize_f64(*f),
+            FieldValue::Bool(b) => serializer.serialize_bool(*b),
         }
     }
+}
 
+impl FieldValue {
     /// Reads a field back from parsed JSON (signed/unsigned integers
     /// normalize to whichever variant the JSON number landed in).
     pub fn from_value(value: &Value) -> Option<FieldValue> {
@@ -231,36 +227,41 @@ pub struct Record {
     pub fields: Vec<(String, FieldValue)>,
 }
 
+impl Serialize for Record {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        /// The context and call-site fields as one JSON object.
+        struct Fields<'a>(&'a [(String, FieldValue)]);
+
+        impl Serialize for Fields<'_> {
+            fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+                let mut map = serializer.serialize_map(Some(self.0.len()))?;
+                for (key, value) in self.0 {
+                    map.serialize_entry(key, value)?;
+                }
+                map.end()
+            }
+        }
+
+        let mut record = serializer.serialize_struct("Record", 5)?;
+        record.serialize_field("t_us", &self.t_us)?;
+        record.serialize_field("level", self.level.as_str())?;
+        record.serialize_field("target", &self.target)?;
+        record.serialize_field("msg", &self.message)?;
+        record.serialize_field("fields", &Fields(&self.fields))?;
+        record.end()
+    }
+}
+
 impl Record {
     /// The first field with this key (context fields included).
     pub fn field(&self, key: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// The JSON object this record serializes as: keys `t_us`, `level`,
-    /// `target`, `msg`, `fields`.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("t_us".to_string(), Value::UInt(self.t_us)),
-            ("level".to_string(), Value::Str(self.level.as_str().to_string())),
-            ("target".to_string(), Value::Str(self.target.clone())),
-            ("msg".to_string(), Value::Str(self.message.clone())),
-            (
-                "fields".to_string(),
-                Value::Object(
-                    self.fields
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_value()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
     /// One compact JSON line (no trailing newline) — the JSON-lines
-    /// sink's grammar.
+    /// sink's grammar: keys `t_us`, `level`, `target`, `msg`, `fields`.
     pub fn to_json(&self) -> String {
-        self.to_value().to_json()
+        crate::json::to_string(self).expect("a log record always serializes")
     }
 
     /// Parses a JSON line back into a record (used by tests and the
@@ -526,7 +527,10 @@ impl Logger {
             for (k, v) in &record.fields {
                 match v {
                     FieldValue::Str(s) => line.push_str(&format!(" {k}={s}")),
-                    other => line.push_str(&format!(" {k}={}", other.to_value().to_json())),
+                    other => line.push_str(&format!(
+                        " {k}={}",
+                        crate::json::to_string(other).expect("a field value always serializes")
+                    )),
                 }
             }
             eprintln!("{line}");
