@@ -18,7 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dpr_gp::Dataset;
+use dpr_gp::{ols, Dataset};
 
 /// A fitted baseline model: coefficients over a fixed feature basis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -167,52 +167,6 @@ impl Regressor for PolynomialFit {
     fn name(&self) -> &'static str {
         "polynomial curve fitting"
     }
-}
-
-/// Least squares via normal equations with partial-pivot Gaussian
-/// elimination and a tiny ridge term for stability.
-#[allow(clippy::needless_range_loop)] // index arithmetic on two arrays at once
-fn ols(features: &[Vec<f64>], targets: &[f64]) -> Option<Vec<f64>> {
-    let n = features.len();
-    if n == 0 || targets.len() != n {
-        return None;
-    }
-    let k = features[0].len();
-    let mut a = vec![vec![0.0f64; k]; k];
-    let mut b = vec![0.0f64; k];
-    for (row, &t) in features.iter().zip(targets) {
-        for i in 0..k {
-            b[i] += row[i] * t;
-            for j in 0..k {
-                a[i][j] += row[i] * row[j];
-            }
-        }
-    }
-    for i in 0..k {
-        a[i][i] += 1e-9;
-    }
-    // Gaussian elimination with partial pivoting.
-    for col in 0..k {
-        let pivot = (col..k).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
-        if a[pivot][col].abs() < 1e-12 {
-            return None;
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        let diag = a[col][col];
-        for row in 0..k {
-            if row == col {
-                continue;
-            }
-            let factor = a[row][col] / diag;
-            for j in col..k {
-                let v = a[col][j];
-                a[row][j] -= factor * v;
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    Some((0..k).map(|i| b[i] / a[i][i]).collect())
 }
 
 #[cfg(test)]

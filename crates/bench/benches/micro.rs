@@ -6,7 +6,9 @@
 //! Besides the Criterion medians this target emits a machine-readable
 //! `BENCH_gp.json` at the workspace root (override with
 //! `DPR_BENCH_JSON=<path>`) recording evals/sec and speedups for the GP
-//! scoring paths — CI checks the batch-vs-recursive speedup there.
+//! scoring paths, and whole paper-budget fits per second — CI checks the
+//! batch-vs-recursive speedup there and gates every `_per_sec` key
+//! against the checked-in baseline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -30,6 +32,19 @@ fn gp_dataset() -> Dataset {
         let x0 = f64::from(100 + (i * 37) % 150);
         let x1 = f64::from(8 + (i * 23) % 24);
         ((x0, x1), x0 * x1 / 5.0)
+    }))
+    .expect("well-formed")
+}
+
+/// The shape of the car workload's mean GP fit: 19 rows of one raw
+/// field against a screen value. The OCR-style jitter keeps the error
+/// above the stopping threshold, so a paper-budget fit runs all 30
+/// generations.
+fn paper_fit_dataset() -> Dataset {
+    Dataset::from_pairs((0..19).map(|i| {
+        let x = f64::from(40 + (i * 23) % 160);
+        let jitter = f64::from((i * 37) % 7) * 0.3 - 0.9;
+        (x, 0.75 * x - 48.0 + jitter)
     }))
     .expect("well-formed")
 }
@@ -131,7 +146,8 @@ fn time_passes(min: Duration, mut pass: impl FnMut()) -> (u32, Duration) {
 
 /// Times the GP scoring paths and writes `BENCH_gp.json`: evals/sec for
 /// the recursive walker vs. the batch scorer and 1- vs. N-thread pool
-/// scoring, plus the derived speedups.
+/// scoring, plus the derived speedups, and paper-budget fits/sec at one
+/// thread (breeding, dedup, scoring, polish and refit together).
 ///
 /// The JSON keys keep their historical names: `compiled_evals_per_sec`
 /// and `compiled_speedup` now measure the batch scorer, which evaluates
@@ -233,6 +249,26 @@ fn emit_gp_json(_c: &mut Criterion) {
         })
         .fold(0.0f64, f64::max);
 
+    // Whole paper-budget fits at one thread, the shape the pipeline runs:
+    // each fit is one task of the per-sensor fan-out, so its scoring
+    // drains inline.
+    let fit_data = paper_fit_dataset();
+    let saved_threads = std::env::var(dpr_par::THREADS_ENV).ok();
+    std::env::set_var(dpr_par::THREADS_ENV, "1");
+    // Best of three windows, as for dedup: the max filters scheduler noise.
+    let paper_fits = (0..3)
+        .map(|_| {
+            let (fits, elapsed) = time_passes(min, || {
+                black_box(SymbolicRegressor::new(GpConfig::paper(5)).fit(&fit_data));
+            });
+            f64::from(fits) / elapsed.as_secs_f64()
+        })
+        .fold(0.0f64, f64::max);
+    match saved_threads {
+        Some(v) => std::env::set_var(dpr_par::THREADS_ENV, v),
+        None => std::env::remove_var(dpr_par::THREADS_ENV),
+    }
+
     let json = format!(
         concat!(
             "{{\n",
@@ -247,7 +283,9 @@ fn emit_gp_json(_c: &mut Criterion) {
             "  \"pool_1_thread_evals_per_sec\": {par1:.0},\n",
             "  \"pool_n_threads_evals_per_sec\": {parn:.0},\n",
             "  \"dedup_duplicate_share\": {ds:.2},\n",
-            "  \"dedup_speedup\": {dds:.2}\n",
+            "  \"dedup_speedup\": {dds:.2},\n",
+            "  \"paper_fit_rows\": {fit_rows},\n",
+            "  \"paper_fits_per_sec\": {pf:.1}\n",
             "}}\n"
         ),
         quick = quick,
@@ -261,14 +299,16 @@ fn emit_gp_json(_c: &mut Criterion) {
         parn = parn,
         ds = dup_share,
         dds = with_dedup / no_dedup,
+        fit_rows = fit_data.len(),
+        pf = paper_fits,
     );
     let path = std::env::var("DPR_BENCH_JSON").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gp.json").to_string()
     });
     std::fs::write(&path, &json).expect("write BENCH_gp.json");
     println!(
-        "gp scoring: batch {:.1}x vs recursive, dedup {:.2}x at {dup_share:.0}% duplicates \
-         — wrote {path}",
+        "gp scoring: batch {:.1}x vs recursive, dedup {:.2}x at {dup_share:.0}% duplicates, \
+         {paper_fits:.1} paper fits/s at 1 thread — wrote {path}",
         batch / recursive,
         with_dedup / no_dedup,
         dup_share = dup_share * 100.0,

@@ -232,7 +232,6 @@ pub fn canonicalize(model: &dpr_gp::FittedModel, ranges: &[(f64, f64)]) -> Optio
     }
 }
 
-#[allow(clippy::needless_range_loop)] // Gauss-Jordan index arithmetic
 fn canonical_from_samples(
     rows: &[Vec<f64>],
     ys: &[f64],
@@ -242,42 +241,7 @@ fn canonical_from_samples(
     // Least squares over a family's basis; returns (coeffs, max error).
     let fit = |basis: &dyn Fn(&[f64]) -> Vec<f64>| -> Option<(Vec<f64>, f64)> {
         let feats: Vec<Vec<f64>> = rows.iter().map(|r| basis(r)).collect();
-        let k = feats[0].len();
-        let mut a = vec![vec![0.0f64; k]; k];
-        let mut b = vec![0.0f64; k];
-        for (f, &y) in feats.iter().zip(ys) {
-            for i in 0..k {
-                b[i] += f[i] * y;
-                for j in 0..k {
-                    a[i][j] += f[i] * f[j];
-                }
-            }
-        }
-        for (i, row) in a.iter_mut().enumerate() {
-            row[i] += 1e-9;
-        }
-        // Gauss-Jordan.
-        for col in 0..k {
-            let piv = (col..k).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
-            if a[piv][col].abs() < 1e-12 {
-                return None;
-            }
-            a.swap(col, piv);
-            b.swap(col, piv);
-            let d = a[col][col];
-            for r in 0..k {
-                if r == col {
-                    continue;
-                }
-                let f = a[r][col] / d;
-                for c2 in col..k {
-                    let v = a[col][c2];
-                    a[r][c2] -= f * v;
-                }
-                b[r] -= f * b[col];
-            }
-        }
-        let coeffs: Vec<f64> = (0..k).map(|i| b[i] / a[i][i]).collect();
+        let coeffs = dpr_gp::ols(&feats, ys)?;
         let err = rows
             .iter()
             .zip(ys)

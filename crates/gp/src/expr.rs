@@ -274,7 +274,7 @@ mod tests {
         );
         assert_eq!(e.eval(&[26.0, 240.0]), 64.0 * 26.0 + 0.25 * 240.0);
         assert_eq!(e.size(), 7);
-        assert_eq!(genome::depth(&e.to_nodes()), 3);
+        assert_eq!(genome::depth(&e.to_nodes(), &mut Vec::new()), 3);
     }
 
     #[test]
@@ -338,14 +338,15 @@ mod tests {
     #[test]
     fn full_trees_reach_requested_depth() {
         for depth in 2..6 {
-            assert_eq!(genome::depth(&random(depth as u64, depth, true)), depth);
+            let nodes = random(depth as u64, depth, true);
+            assert_eq!(genome::depth(&nodes, &mut Vec::new()), depth);
         }
     }
 
     #[test]
     fn grow_trees_respect_depth_bound() {
         for seed in 0..50 {
-            assert!(genome::depth(&random(seed, 4, false)) <= 4);
+            assert!(genome::depth(&random(seed, 4, false), &mut Vec::new()) <= 4);
         }
     }
 
@@ -363,7 +364,7 @@ mod tests {
             .map(|i| Expr::from_nodes(&nodes[i..genome::subtree_end(&nodes, i)]).to_string())
             .collect();
         assert_eq!(seen, vec!["(sqrt(X0) + 2)", "sqrt(X0)", "X0", "2"]);
-        assert_eq!(genome::depth(&nodes), 3);
+        assert_eq!(genome::depth(&nodes, &mut Vec::new()), 3);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The flat pre-order genome the engine breeds.
 //!
-//! Every individual is one `Vec<Node>` in pre-order — a node, then its
-//! left subtree, then its right — the layout gplearn's
-//! `_Program.program` uses. A subtree is a contiguous range, found by one
+//! Every individual is one `[Node]` slice in pre-order — a node, then
+//! its left subtree, then its right — the layout gplearn's
+//! `_Program.program` uses; the engine keeps a generation's genomes back
+//! to back in one node arena. A subtree is a contiguous range, found by one
 //! arity-counting scan ([`subtree_end`]), so crossover and subtree/hoist
 //! mutation are `prefix ++ graft ++ suffix` splices, a clone is one copy,
-//! size is the slice length and depth is one pass ([`depth`]).
+//! size is the slice length and depth is one reverse scan ([`depth`]).
 //!
 //! [`Expr`] stays the API edge (refit, simplification, display, the
 //! fitted model); [`Expr::to_nodes`] and [`Expr::from_nodes`] convert.
@@ -56,23 +57,26 @@ pub fn subtree_end(nodes: &[Node], start: usize) -> usize {
     at
 }
 
-/// Tree depth (a leaf has depth 1), in one pass over the slice.
-pub fn depth(nodes: &[Node]) -> usize {
-    fn walk(nodes: &[Node], at: usize) -> (usize, usize) {
-        match nodes[at] {
-            Node::Const(_) | Node::Var(_) => (1, at + 1),
-            Node::Unary(_) => {
-                let (d, end) = walk(nodes, at + 1);
-                (d + 1, end)
-            }
+/// Tree depth (a leaf has depth 1), by one back-to-front scan: a leaf
+/// pushes 1, an operator pops its operands' depths (leftmost on top) and
+/// pushes one more than the deepest. Not recursive, so no genome is too
+/// deep for it. `stack` is scratch a caller can reuse across calls; it is
+/// left empty.
+pub fn depth(nodes: &[Node], stack: &mut Vec<usize>) -> usize {
+    stack.clear();
+    for node in nodes.iter().rev() {
+        let d = match node {
+            Node::Const(_) | Node::Var(_) => 1,
+            Node::Unary(_) => stack.pop().expect("operand below a unary node") + 1,
             Node::Binary(_) => {
-                let (left, mid) = walk(nodes, at + 1);
-                let (right, end) = walk(nodes, mid);
-                (left.max(right) + 1, end)
+                let left = stack.pop().expect("left operand below a binary node");
+                let right = stack.pop().expect("right operand below a binary node");
+                left.max(right) + 1
             }
-        }
+        };
+        stack.push(d);
     }
-    walk(nodes, 0).0
+    stack.pop().expect("genome is non-empty")
 }
 
 /// Appends a random tree of at most `depth` levels. The *full* method

@@ -69,4 +69,5 @@ pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use fitness::Metric;
 pub use genome::Node;
 pub use model::FittedModel;
+pub use refit::ols;
 pub use score::{BatchScratch, Columns};

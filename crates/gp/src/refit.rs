@@ -13,20 +13,24 @@
 use crate::expr::{BinaryOp, Expr};
 use crate::{Dataset, Metric};
 
-/// Maximum features the refit considers.
-const MAX_FEATURES: usize = 5;
 /// Coefficients below this magnitude are dropped from the correction.
 const COEFF_EPSILON: f64 = 1e-7;
 
-/// Solves the least-squares system `X·beta ≈ r` via normal equations with
-/// Gaussian elimination. Returns `None` for singular systems.
-pub(crate) fn ols(features: &[Vec<f64>], targets: &[f64]) -> Option<Vec<f64>> {
+/// Solves the least-squares system `X·beta ≈ targets` (one feature row
+/// of `X` per target) via the normal equations, with a 1e-9 ridge on the
+/// diagonal for collinear features and partial-pivot Gaussian
+/// elimination. Returns `None` for an empty or mismatched system, or a
+/// singular one.
+///
+/// The one solver of the workspace: the residual refit, the baseline
+/// regressors and formula canonicalization all call it.
+#[allow(clippy::needless_range_loop)] // index arithmetic on two arrays at once
+pub fn ols(features: &[Vec<f64>], targets: &[f64]) -> Option<Vec<f64>> {
     let n = features.len();
-    if n == 0 {
+    if n == 0 || targets.len() != n {
         return None;
     }
     let k = features[0].len();
-    debug_assert!(k <= MAX_FEATURES + 1);
     // Normal equations: A = Xᵀ X (k×k), b = Xᵀ r.
     let mut a = vec![vec![0.0f64; k]; k];
     let mut b = vec![0.0f64; k];
@@ -41,7 +45,6 @@ pub(crate) fn ols(features: &[Vec<f64>], targets: &[f64]) -> Option<Vec<f64>> {
     // Tiny ridge term for numerical stability on collinear features.
     for (i, row) in a.iter_mut().enumerate() {
         row[i] += 1e-9;
-        let _ = i;
     }
     gaussian_solve(a, b)
 }
