@@ -8,7 +8,6 @@
 //! cargo run --release -p dpr-bench --bin dpr-bench -- scale --threads 1,2,4,8
 //! cargo run --release -p dpr-bench --bin dpr-bench -- serve --addr 127.0.0.1:8080
 //! cargo run --release -p dpr-bench --bin dpr-bench -- serve-load --clients 8
-//! cargo run --release -p dpr-bench --bin dpr-bench -- top 127.0.0.1:8080 --interval 2
 //! cargo run --release -p dpr-bench --bin dpr-bench -- analyze /tmp/m.dprcap --json
 //! cargo run --release -p dpr-bench --bin dpr-bench -- accuracy --out BENCH_accuracy.json
 //! ```
@@ -53,8 +52,7 @@ fn usage() -> ExitCode {
     eprintln!("       dpr-bench scale [--threads 1,2,4,8] [--out <BENCH_scale.json>]");
     eprintln!("       dpr-bench serve [--addr <ip:port>] [--workers <n>] [--queue <n>] [--addr-file <path>]");
     eprintln!("       dpr-bench serve-load [--clients <n>] [--requests <n>] [--workers <n>] [--queue <n>] [--cost-us <n>] [--out <BENCH_serve.json>]");
-    eprintln!("       dpr-bench snapshot <ip:port> [--raw] [--watch <secs>]");
-    eprintln!("       dpr-bench top <ip:port> [--interval <secs>] [--once]");
+    eprintln!("       dpr-bench snapshot <ip:port> [--raw]");
     eprintln!("       dpr-bench analyze <capture.dprcap> [--json]");
     eprintln!("       dpr-bench accuracy [--out <BENCH_accuracy.json>]");
     ExitCode::from(2)
@@ -71,7 +69,6 @@ fn main() -> ExitCode {
         Some("serve") => serve(&args[1..]),
         Some("serve-load") => serve_load_cmd(&args[1..]),
         Some("snapshot") => snapshot_cmd(&args[1..]),
-        Some("top") => top_cmd(&args[1..]),
         Some("analyze") => analyze_capture_cmd(&args[1..]),
         Some("accuracy") => accuracy_cmd(&args[1..]),
         _ => usage(),
@@ -442,7 +439,7 @@ fn serve_load_cmd(args: &[String]) -> ExitCode {
 /// `snapshot`: fetches `/debug/snapshot` from a running service, checks
 /// it parses, and prints a triage summary (`--raw` dumps the JSON
 /// instead) — the one-command version of "attach everything a bug
-/// report needs". `--watch <secs>` re-polls until interrupted.
+/// report needs".
 fn snapshot_cmd(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
     let raw = match args.iter().position(|a| a == "--raw") {
@@ -452,30 +449,18 @@ fn snapshot_cmd(args: &[String]) -> ExitCode {
         }
         None => false,
     };
-    let watch_secs: Option<u64> = take_flag(&mut args, "--watch").and_then(|s| s.parse().ok());
     let Some(addr) = args.first() else {
         return usage();
     };
-    match watch_secs {
-        None => {
-            if snapshot_once(addr, raw) {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Some(secs) => loop {
-            if !snapshot_once(addr, raw) {
-                return ExitCode::FAILURE;
-            }
-            std::thread::sleep(Duration::from_secs(secs.max(1)));
-            println!();
-        },
+    if print_snapshot(addr, raw) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
 /// One `/debug/snapshot` fetch-and-summarize pass; false on any error.
-fn snapshot_once(addr: &str, raw: bool) -> bool {
+fn print_snapshot(addr: &str, raw: bool) -> bool {
     use dpr_telemetry::json::Value;
     use std::io::{Read, Write};
 
@@ -575,33 +560,6 @@ fn snapshot_once(addr: &str, raw: bool) -> bool {
             count("histograms")
         );
     }
-    match field(&doc, "series") {
-        Some(Value::Null) | None => println!("  series: sampler disabled"),
-        Some(series) => {
-            let count = |name: &str| match field(series, name) {
-                Some(Value::Object(entries)) => entries.len(),
-                _ => 0,
-            };
-            println!(
-                "  series: {} sample(s) every {}ms, {} counter / {} gauge / {} histogram series",
-                as_u64(field(series, "samples")),
-                as_u64(field(series, "interval_ms")),
-                count("counters"),
-                count("gauges"),
-                count("histograms"),
-            );
-            if let Some(Value::Array(slos)) = field(series, "slos") {
-                for slo in slos {
-                    println!(
-                        "  slo: {:<18} {:<8} {}",
-                        as_str(field(slo, "slug")),
-                        as_str(field(slo, "state")),
-                        as_str(field(slo, "detail")),
-                    );
-                }
-            }
-        }
-    }
     if let Some(log) = field(&doc, "log") {
         println!(
             "  log ring: {} record(s) held, {} pushed, {} overwritten",
@@ -614,45 +572,6 @@ fn snapshot_once(addr: &str, raw: bool) -> bool {
         );
     }
     true
-}
-
-/// `top`: a polling sparkline dashboard over `GET /metrics/history` —
-/// SLO grades, counter rates, gauge levels, window latency quantiles.
-fn top_cmd(args: &[String]) -> ExitCode {
-    let mut args = args.to_vec();
-    let interval: u64 = take_flag(&mut args, "--interval")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2)
-        .max(1);
-    let once = match args.iter().position(|a| a == "--once") {
-        Some(at) => {
-            args.remove(at);
-            true
-        }
-        None => false,
-    };
-    let Some(addr) = args.first() else {
-        return usage();
-    };
-    loop {
-        let history = match dpr_bench::top::fetch_history(addr) {
-            Ok(history) => history,
-            Err(why) => {
-                eprintln!("error: {why}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let screen = dpr_bench::top::render(addr, &history);
-        if once {
-            print!("{screen}");
-            return ExitCode::SUCCESS;
-        }
-        // Clear and home, like top(1); the screen repaints in place.
-        print!("\x1b[2J\x1b[H{screen}");
-        use std::io::Write;
-        let _ = std::io::stdout().flush();
-        std::thread::sleep(Duration::from_secs(interval));
-    }
 }
 
 /// `analyze`: runs a `.dprcap` capture through the pipeline directly

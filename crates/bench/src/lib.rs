@@ -11,7 +11,6 @@
 pub mod accuracy;
 pub mod scale;
 pub mod serve_load;
-pub mod top;
 
 use dp_reverser::{DpReverser, PipelineConfig, ReverseEngineeringResult};
 use dpr_can::Micros;

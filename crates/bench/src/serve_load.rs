@@ -9,11 +9,14 @@
 //! answer. It reports p50/p99 submit latency, sustained submit
 //! throughput, the share of requests refused with `429` (backpressure
 //! working as designed, not an error), and client-side allocations per
-//! request, and renders all of it into `BENCH_serve.json` for
+//! request, plus the server's own submit-route latency read from its
+//! registry, and renders all of it into `BENCH_serve.json` for
 //! `dpr-bench regress` to gate.
 
 use dp_reverser::ReverseEngineeringResult;
 use dpr_serve::{AnalysisService, Analyzer, JobInput, ServiceConfig, ServiceHealth};
+use dpr_telemetry::json::{self, Value};
+use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -85,14 +88,14 @@ pub struct LoadRun {
     /// Server-side per-route latency, read back from the service's
     /// `http.<route>.latency_us` histograms after the run.
     pub route_latency: Vec<RouteLatency>,
-    /// Median of the busiest `http.jobs.latency_us` sampling window,
-    /// pulled from `GET /metrics/history` after the run — the same
-    /// numbers an operator's dashboard would show.
-    pub server_window_p50_us: f64,
-    /// 99th percentile of that same busiest window.
-    pub server_window_p99: f64,
-    /// Sampling windows that saw submit traffic during the run.
-    pub server_windows: u64,
+}
+
+impl LoadRun {
+    /// The submit route's (`POST /jobs`) server-side latency, when the
+    /// service recorded any.
+    pub fn submit_route(&self) -> Option<&RouteLatency> {
+        self.route_latency.iter().find(|r| r.route == "jobs")
+    }
 }
 
 /// One route's server-side latency summary.
@@ -192,13 +195,6 @@ pub fn run_load(config: &LoadConfig, quick: bool) -> LoadRun {
     let service_config = ServiceConfig {
         analysis_workers: config.workers.max(1),
         queue_capacity: config.queue.max(1),
-        // Tight sampling so even the quick run spans several windows;
-        // ignores `DPR_SERIES_*` on purpose — bench numbers should not
-        // move with ambient environment tuning.
-        series: Some(dpr_obs::series::SeriesConfig {
-            interval: Duration::from_millis(50),
-            capacity: 256,
-        }),
         ..ServiceConfig::default()
     };
     let service = AnalysisService::start(
@@ -224,14 +220,6 @@ pub fn run_load(config: &LoadConfig, quick: bool) -> LoadRun {
     });
     let elapsed = started.elapsed();
     dpr_prof::alloc::set_counting(false);
-    // Close the last sampling window, then read the history back over
-    // the wire — the bench checks the endpoint, not just the store.
-    service
-        .series()
-        .expect("load services run with a sampler")
-        .force_tick();
-    let history = fetch_history(addr);
-    let (server_windows, server_window_p50_us, server_window_p99) = summarize_windows(&history);
     let metrics = service.registry().snapshot();
     let route_latency: Vec<RouteLatency> = metrics
         .histograms
@@ -268,37 +256,6 @@ pub fn run_load(config: &LoadConfig, quick: bool) -> LoadRun {
         http_429_share: rejected as f64 / total as f64,
         allocs_per_request: allocs as f64 / total as f64,
         route_latency,
-        server_window_p50_us,
-        server_window_p99,
-        server_windows,
-    }
-}
-
-/// Fetches `GET /metrics/history` and parses the series document.
-fn fetch_history(addr: SocketAddr) -> dpr_obs::series::History {
-    let mut response = Vec::with_capacity(4096);
-    let status = submit_once(
-        addr,
-        b"GET /metrics/history HTTP/1.1\r\nHost: bench\r\n\r\n",
-        &mut response,
-    );
-    let text = String::from_utf8_lossy(&response);
-    let body = text.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
-    assert_eq!(status, Some(200), "metrics/history fetch failed: {text}");
-    dpr_telemetry::json::from_str(body)
-        .unwrap_or_else(|e| panic!("metrics/history payload does not parse ({e}): {body}"))
-}
-
-/// The busiest (most-observations) window of the submit route's
-/// sliding-window latency series, plus how many windows saw traffic.
-fn summarize_windows(history: &dpr_obs::series::History) -> (u64, f64, f64) {
-    let Some(series) = history.histograms.get("http.jobs.latency_us") else {
-        return (0, 0.0, 0.0);
-    };
-    let windows = series.iter().filter(|w| w.count > 0).count() as u64;
-    match series.iter().max_by_key(|w| w.count) {
-        Some(busiest) if busiest.count > 0 => (windows, busiest.p50, busiest.p99),
-        _ => (0, 0.0, 0.0),
     }
 }
 
@@ -316,7 +273,7 @@ fn preflight_health(addr: SocketAddr) {
     let text = String::from_utf8_lossy(&response);
     let body = text.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
     assert_eq!(status, Some(200), "healthz pre-flight failed: {text}");
-    let health: ServiceHealth = dpr_telemetry::json::from_str(body)
+    let health: ServiceHealth = json::from_str(body)
         .unwrap_or_else(|e| panic!("healthz payload does not parse ({e}): {body}"));
     assert_eq!(
         health.status, "ok",
@@ -352,62 +309,71 @@ pub fn render_load(run: &LoadRun) -> String {
             route.route, route.count, route.p50_us, route.p99_us
         ));
     }
-    out.push_str(&format!(
-        "  busiest window (of {} active)    server p50 {:>7.0}us    p99 {:>7.0}us    via /metrics/history\n",
-        run.server_windows, run.server_window_p50_us, run.server_window_p99
-    ));
     out
 }
 
-/// Renders the run as `BENCH_serve.json` for `dpr-bench regress`.
+/// `BENCH_serve.json`, in this key order.
 ///
-/// Key naming is deliberate about gating direction: `submit_p50_us` and
-/// `allocs_per_request` gate as lower-is-better, `submits_per_sec` as
-/// higher-is-better. `http_429_share` stays informational (a 429 is
-/// correct backpressure, not a regression — the word `rate` is avoided
-/// so direction inference does not gate it), and so does `submit_p99`
-/// (microseconds, but tail latency on a small shared CI box is too
-/// jittery to gate; the unit suffix is dropped so inference skips it).
-/// The server-side window numbers follow the same split:
-/// `server_window_p50_us` gates lower-is-better, `server_window_p99`
-/// (tail, suffix dropped) and `server_windows` (a sample count, not a
-/// quality) stay informational.
+/// Key naming is deliberate about gating direction: `submit_p50_us`,
+/// `server_p50_us` and `allocs_per_request` gate as lower-is-better,
+/// `submits_per_sec` as higher-is-better. `http_429_share` stays
+/// informational (a 429 is correct backpressure, not a regression — the
+/// word `rate` is avoided so direction inference does not gate it), and
+/// so do `submit_p99` and `server_p99` (microseconds, but tail latency
+/// on a small shared CI box is too jittery to gate; the unit suffix is
+/// dropped so inference skips them).
+#[derive(Serialize)]
+struct ServeJson {
+    bench: &'static str,
+    quick: bool,
+    clients: usize,
+    requests_per_client: usize,
+    analysis_workers: usize,
+    queue_capacity: usize,
+    job_cost_us: u64,
+    submit_p50_us: u64,
+    submit_p99: u64,
+    submits_per_sec: u64,
+    http_429_share: f64,
+    allocs_per_request: u64,
+    server_p50_us: u64,
+    server_p99: u64,
+}
+
+/// Renders the run as `BENCH_serve.json` for `dpr-bench regress`. The
+/// server-side numbers are the submit route's `http.jobs.latency_us`
+/// histogram over the whole run.
 pub fn serve_json(run: &LoadRun) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"serve_load\",\n",
-            "  \"quick\": {quick},\n",
-            "  \"clients\": {clients},\n",
-            "  \"requests_per_client\": {requests},\n",
-            "  \"analysis_workers\": {workers},\n",
-            "  \"queue_capacity\": {queue},\n",
-            "  \"job_cost_us\": {cost},\n",
-            "  \"submit_p50_us\": {p50},\n",
-            "  \"submit_p99\": {p99},\n",
-            "  \"submits_per_sec\": {sps:.0},\n",
-            "  \"http_429_share\": {share:.4},\n",
-            "  \"allocs_per_request\": {apr:.0},\n",
-            "  \"server_window_p50_us\": {wp50:.0},\n",
-            "  \"server_window_p99\": {wp99:.0},\n",
-            "  \"server_windows\": {windows}\n",
-            "}}\n",
-        ),
-        quick = run.quick,
-        clients = run.config.clients,
-        requests = run.config.requests,
-        workers = run.config.workers,
-        queue = run.config.queue,
-        cost = run.config.cost_us,
-        p50 = run.p50_us,
-        p99 = run.p99_us,
-        sps = run.submits_per_sec,
-        share = run.http_429_share,
-        apr = run.allocs_per_request,
-        wp50 = run.server_window_p50_us,
-        wp99 = run.server_window_p99,
-        windows = run.server_windows,
-    )
+    let (server_p50, server_p99) = run
+        .submit_route()
+        .map_or((0.0, 0.0), |r| (r.p50_us, r.p99_us));
+    let record = ServeJson {
+        bench: "serve_load",
+        quick: run.quick,
+        clients: run.config.clients,
+        requests_per_client: run.config.requests,
+        analysis_workers: run.config.workers,
+        queue_capacity: run.config.queue,
+        job_cost_us: run.config.cost_us,
+        submit_p50_us: run.p50_us,
+        submit_p99: run.p99_us,
+        submits_per_sec: run.submits_per_sec.round() as u64,
+        http_429_share: (run.http_429_share * 1e4).round() / 1e4,
+        allocs_per_request: run.allocs_per_request.round() as u64,
+        server_p50_us: server_p50.round() as u64,
+        server_p99: server_p99.round() as u64,
+    };
+    // One `"key": value` per line, so a diff against the baseline names
+    // the key that moved.
+    let text = json::to_string(&record).expect("a bench record serializes");
+    let Ok(Value::Object(entries)) = json::parse(&text) else {
+        unreachable!("a struct renders as a JSON object: {text}");
+    };
+    let lines: Vec<String> = entries
+        .iter()
+        .map(|(key, value)| format!("  \"{key}\": {}", value.to_json()))
+        .collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
 }
 
 #[cfg(test)]
@@ -431,19 +397,11 @@ mod tests {
         );
         assert_eq!(run.errors, 0, "{run:?}");
         let jobs_route = run
-            .route_latency
-            .iter()
-            .find(|r| r.route == "jobs")
+            .submit_route()
             .expect("per-route latency for the submit route");
         assert_eq!(jobs_route.count, 10, "{:?}", run.route_latency);
-        assert!(
-            run.server_windows >= 1,
-            "the sampler saw the submit traffic: {run:?}"
-        );
-        assert!(
-            run.server_window_p99 >= run.server_window_p50_us,
-            "{run:?}"
-        );
+        assert!(jobs_route.p50_us > 0.0, "{jobs_route:?}");
+        assert!(jobs_route.p99_us >= jobs_route.p50_us, "{jobs_route:?}");
         let json = serve_json(&run);
         let doc = dpr_telemetry::json::parse(&json).expect("serve_json emits valid JSON");
         let flat = format!("{doc:?}");
@@ -453,12 +411,12 @@ mod tests {
             "submits_per_sec",
             "http_429_share",
             "allocs_per_request",
-            "server_window_p50_us",
-            "server_window_p99",
-            "server_windows",
+            "server_p50_us",
+            "server_p99",
         ] {
             assert!(flat.contains(key), "{key} missing from {json}");
         }
+        assert!(!flat.contains("server_window"), "{json}");
     }
 
     #[test]

@@ -149,7 +149,6 @@ fn service_request_cycle() -> BTreeSet<String> {
         "/jobs/job-1/result",
         "/jobs/job-1/events",
         "/metrics",
-        "/metrics/history",
         "/trace",
         "/runs",
         "/healthz",
@@ -221,17 +220,10 @@ fn every_emitted_metric_is_documented_in_design_md() {
         "http.healthz.requests",
         "http.debug_snapshot.requests",
         "http.job_events.requests",
-        "http.metrics_history.requests",
         "http.requests_in_flight",
         "http.bytes_in",
         "http.bytes_out",
         "serve.requests",
-        "series.samples",
-        "series.tracked",
-        "series.sample_us",
-        "slo.evaluations",
-        "slo.http_errors.state",
-        "slo.burning",
     ] {
         assert!(
             emitted.contains(expected),

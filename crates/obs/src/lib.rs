@@ -2,7 +2,7 @@
 //! gates that make the pipeline's spans and metrics usable *outside* the
 //! process.
 //!
-//! Five pieces, layered strictly on top of the telemetry facade:
+//! Four pieces, layered strictly on top of the telemetry facade:
 //!
 //! * [`trace_event`] — a [`Sink`](dpr_telemetry::Sink) that turns closed
 //!   spans into Chrome Trace Event Format JSON loadable in Perfetto or
@@ -21,9 +21,6 @@
 //!   `GET /profile` (the pool-profile snapshot), and `GET /healthz`
 //!   (liveness JSON: version, uptime, runs published). Opt in with
 //!   `DPR_METRICS_ADDR=127.0.0.1:0`.
-//! * [`series`] — metrics history: a sampler thread diffs registry
-//!   snapshots into bounded windowed rate/quantile series and grades SLO
-//!   burn rates, served as `GET /metrics/history`.
 //! * [`regress`] — compares two `BENCH_*.json` snapshots metric by
 //!   metric and reports regressions beyond a tolerance, so CI can gate
 //!   on the perf trajectory.
@@ -39,11 +36,7 @@ pub mod flame;
 pub mod http;
 pub mod prom;
 pub mod regress;
-mod sampler;
-pub mod series;
 pub mod server;
-mod slo;
-mod store;
 pub mod table;
 pub mod trace_event;
 

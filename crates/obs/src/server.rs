@@ -41,7 +41,6 @@
 
 use crate::http::{self, HeadError, RequestHead};
 use crate::prom;
-use crate::series::{Sampler, SeriesConfig};
 use crate::table::SessionTable;
 use dpr_telemetry::json::{self, Value};
 use dpr_telemetry::{PipelineTrace, Registry, Ring};
@@ -262,7 +261,6 @@ impl Default for ServerConfig {
 pub fn route_slug(path: &str) -> &'static str {
     match path {
         "/metrics" => "metrics",
-        "/metrics/history" => "metrics_history",
         "/trace" => "trace",
         "/runs" => "runs",
         "/profile" => "profile",
@@ -764,13 +762,11 @@ fn sweep_loop(shared: &ServerShared) {
 pub struct ObsRouter {
     registry: Arc<Registry>,
     runs: SharedRuns,
-    series: Option<Arc<Sampler>>,
     started: Instant,
 }
 
 /// The route list the 404 body advertises.
-pub const OBS_ROUTES: &str =
-    "/metrics /metrics/history /trace /runs /evidence/<sensor> /profile /healthz";
+pub const OBS_ROUTES: &str = "/metrics /trace /runs /evidence/<sensor> /profile /healthz";
 
 impl ObsRouter {
     /// A router serving `registry` and `runs`; uptime counts from now.
@@ -778,21 +774,8 @@ impl ObsRouter {
         ObsRouter {
             registry,
             runs,
-            series: None,
             started: Instant::now(),
         }
-    }
-
-    /// Attaches a series sampler: `GET /metrics/history` serves its
-    /// windowed rate/quantile series (404 without one).
-    pub fn with_series(mut self, series: Arc<Sampler>) -> ObsRouter {
-        self.series = Some(series);
-        self
-    }
-
-    /// The attached series sampler, if any.
-    pub fn series(&self) -> Option<&Arc<Sampler>> {
-        self.series.as_ref()
     }
 
     /// The shared run store this router serves.
@@ -813,7 +796,7 @@ impl ObsRouter {
         let path = head.path();
         let known = matches!(
             path,
-            "/metrics" | "/metrics/history" | "/trace" | "/runs" | "/profile" | "/healthz"
+            "/metrics" | "/trace" | "/runs" | "/profile" | "/healthz"
         ) || path.starts_with("/evidence/");
         if !known {
             return Ok(false);
@@ -843,16 +826,6 @@ impl ObsRouter {
                 "text/plain; version=0.0.4; charset=utf-8",
                 &prom::render(&self.registry.snapshot()),
             )?,
-            "/metrics/history" => match &self.series {
-                Some(sampler) => conn.respond_json("200 OK", &sampler.history())?,
-                None => {
-                    conn.respond(
-                        "404 Not Found",
-                        "text/plain",
-                        "no series sampler is attached to this server\n",
-                    )?;
-                }
-            },
             "/trace" => {
                 // Clone out so the store lock is not held while writing.
                 let trace = self.runs.lock().latest().map(|run| run.trace.clone());
@@ -919,30 +892,19 @@ impl std::fmt::Debug for ObsRouter {
 /// [`stop`](MetricsServer::stop) or drop.
 pub struct MetricsServer {
     inner: HttpServer,
-    sampler: Arc<Sampler>,
 }
 
 impl MetricsServer {
     /// Binds `addr` and starts serving `registry` and `runs`.
-    /// A series sampler (interval from `DPR_SERIES_INTERVAL_MS`, no
-    /// SLOs) is started alongside, so
-    /// `GET /metrics/history` works on the standalone scrape server too.
     pub fn start(
         addr: &str,
         registry: Arc<Registry>,
         runs: SharedRuns,
     ) -> io::Result<MetricsServer> {
-        let sampler = Sampler::start(
-            Arc::clone(&registry),
-            SeriesConfig::from_env(),
-            Vec::new(),
-        );
-        let router = Arc::new(
-            ObsRouter::new(Arc::clone(&registry), runs).with_series(Arc::clone(&sampler)),
-        );
+        let router = Arc::new(ObsRouter::new(Arc::clone(&registry), runs));
         let inner =
             HttpServer::start(addr, "dpr-metrics", ServerConfig::default(), router, registry)?;
-        Ok(MetricsServer { inner, sampler })
+        Ok(MetricsServer { inner })
     }
 
     /// Starts a server on the `DPR_METRICS_ADDR` address, if the variable
@@ -965,16 +927,9 @@ impl MetricsServer {
         self.inner.addr()
     }
 
-    /// The series sampler behind `GET /metrics/history`.
-    pub fn sampler(&self) -> &Arc<Sampler> {
-        &self.sampler
-    }
-
-    /// Stops accepting, wakes the listener, joins the serve threads,
-    /// and stops the series sampler.
+    /// Stops accepting, wakes the listener and joins the serve threads.
     pub fn stop(self) {
         self.inner.stop();
-        self.sampler.stop();
     }
 }
 
@@ -1048,30 +1003,6 @@ mod tests {
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"));
 
-        server.stop();
-    }
-
-    #[test]
-    fn serves_metrics_history() {
-        let registry = Arc::new(Registry::new());
-        registry.counter("obs.history_hits").inc(2);
-        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry), shared_runs())
-        .expect("bind ephemeral");
-        // The startup tick already saw the counter; force one more so
-        // the zero-delta path is exercised over HTTP too.
-        server.sampler().force_tick();
-        let (head, body) = get(server.addr(), "/metrics/history");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert!(head.contains("application/json"), "{head}");
-        let history: crate::series::History =
-            dpr_telemetry::json::from_str(&body).expect("history json");
-        assert!(history.samples >= 2, "{history:?}");
-        let series = history
-            .counters
-            .get("obs.history_hits")
-            .expect("counter tracked");
-        assert_eq!(series.first().map(|p| p.delta), Some(2), "{series:?}");
-        assert!(history.slos.is_empty(), "standalone server has no SLOs");
         server.stop();
     }
 

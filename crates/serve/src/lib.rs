@@ -48,7 +48,6 @@ pub use jobs::{
 pub use router::{ServiceHealth, ServiceRouter, SubmitResponse, SERVE_ROUTES};
 
 use dpr_obs::{shared_runs, HttpServer, ObsRouter, ServerConfig, SharedRuns};
-use dpr_obs::series::{service_slos, Sampler, SeriesConfig};
 use dpr_telemetry::Registry;
 use std::io;
 use std::net::SocketAddr;
@@ -88,10 +87,10 @@ pub struct ServiceConfig {
     pub max_body_bytes: u64,
     /// Finished jobs kept queryable before eviction (`jobs.evicted`).
     pub jobs_kept: usize,
-    /// Metrics-history sampling: interval and per-series retention for
-    /// `/metrics/history` and the SLO burn-rate grades on `/healthz`.
-    /// `None` disables the sampler entirely (no thread, empty `slos`).
-    pub series: Option<SeriesConfig>,
+    /// Always `None`: the service keeps no metrics history. The field
+    /// stays only because `perfbench`'s self-test still writes
+    /// `series: None`; both go together.
+    pub series: Option<std::convert::Infallible>,
 }
 
 impl Default for ServiceConfig {
@@ -102,7 +101,7 @@ impl Default for ServiceConfig {
             queue_capacity: 8,
             max_body_bytes: 64 * 1024 * 1024,
             jobs_kept: JOBS_KEPT,
-            series: Some(SeriesConfig::from_env()),
+            series: None,
         }
     }
 }
@@ -120,7 +119,6 @@ pub struct AnalysisService {
     registry: Arc<Registry>,
     runs: SharedRuns,
     health: Arc<WorkerHealth>,
-    series: Option<Arc<Sampler>>,
 }
 
 impl AnalysisService {
@@ -156,19 +154,8 @@ impl AnalysisService {
                 })?;
             workers.push(handle);
         }
-        let series = config.series.map(|series_config| {
-            Sampler::start(
-                Arc::clone(&registry),
-                series_config,
-                service_slos(config.queue_capacity),
-            )
-        });
-        let mut obs = ObsRouter::new(Arc::clone(&registry), Arc::clone(&runs));
-        if let Some(sampler) = &series {
-            obs = obs.with_series(Arc::clone(sampler));
-        }
         let router = Arc::new(ServiceRouter::new(
-            obs,
+            ObsRouter::new(Arc::clone(&registry), Arc::clone(&runs)),
             Arc::clone(&store),
             analyzer,
             Arc::clone(&health),
@@ -179,9 +166,6 @@ impl AnalysisService {
             Err(e) => {
                 // Bind failed: unwind the already-running workers
                 // before reporting, so no threads leak.
-                if let Some(sampler) = &series {
-                    sampler.stop();
-                }
                 store.drain();
                 for handle in workers {
                     let _ = handle.join();
@@ -196,7 +180,6 @@ impl AnalysisService {
             registry,
             runs,
             health,
-            series,
         })
     }
 
@@ -229,12 +212,6 @@ impl AnalysisService {
         &self.health
     }
 
-    /// The metrics-history sampler, when one is configured — the same
-    /// data `/metrics/history` serves, without a round trip.
-    pub fn series(&self) -> Option<&Arc<Sampler>> {
-        self.series.as_ref()
-    }
-
     /// Graceful drain: stop accepting, answer in-flight requests,
     /// finish every queued job, join the workers.
     pub fn stop(mut self) {
@@ -248,11 +225,6 @@ impl AnalysisService {
         self.store.drain();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
-        }
-        // Last, so the sampler keeps ticking while the drain produces
-        // its final jobs.* deltas.
-        if let Some(sampler) = self.series.take() {
-            sampler.stop();
         }
     }
 }

@@ -21,7 +21,6 @@ use crate::jobs::{
 use crate::Analyzer;
 use dpr_capture::CaptureReader;
 use dpr_obs::http::{BodyReader, RequestHead};
-use dpr_obs::series::History;
 use dpr_obs::{Conn, HttpHandler, ObsRouter, OBS_ROUTES};
 use dpr_telemetry::json::{self, Value};
 use dpr_telemetry::log::Record;
@@ -51,9 +50,6 @@ pub const SERVE_ROUTES: &str = "POST /jobs, GET /jobs, GET /jobs/<id>, GET /jobs
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceHealth {
     /// `ok`, or `no-workers` when no analysis worker ever registered.
-    /// SLO burn-rate grades live in `slos`, separately — a burning SLO
-    /// means the service is *degraded*, not that the process is down,
-    /// so liveness probes keep their meaning.
     pub status: String,
     /// The `dpr-serve` crate version compiled into this binary.
     pub version: String,
@@ -69,9 +65,6 @@ pub struct ServiceHealth {
     pub jobs_running: u64,
     /// Each analysis worker's state and last-heartbeat age.
     pub workers: Vec<WorkerReport>,
-    /// Burn-rate grade of every service SLO (`ok`/`warn`/`burning`);
-    /// empty when the service runs without a series sampler.
-    pub slos: Vec<dpr_obs::series::SloStatus>,
 }
 
 /// What a successful `POST /jobs` returns.
@@ -126,8 +119,7 @@ pub struct ServiceRouter {
 impl ServiceRouter {
     /// A router submitting to `store`, validating car names against
     /// `analyzer`, reporting `health` on `/healthz`, and falling back
-    /// to `obs` (which also carries the series sampler, when one is
-    /// attached, for `/metrics/history` and the SLO grades).
+    /// to `obs`.
     pub fn new(
         obs: ObsRouter,
         store: Arc<JobStore>,
@@ -160,11 +152,6 @@ impl ServiceRouter {
             queue_capacity: self.store.queue_capacity() as u64,
             jobs_running: self.store.running() as u64,
             workers,
-            slos: self
-                .obs
-                .series()
-                .map(|sampler| sampler.statuses())
-                .unwrap_or_default(),
         }
     }
 
@@ -173,10 +160,8 @@ impl ServiceRouter {
     }
 
     /// One JSON diagnostics bundle: service health, the jobs table,
-    /// the pool profile, the full metrics snapshot, the sampled metric
-    /// history with SLO grades (`null` without a sampler), and the
-    /// in-memory log ring — everything a bug report needs, in one
-    /// request.
+    /// the pool profile, the full metrics snapshot, and the in-memory
+    /// log ring — everything a bug report needs, in one request.
     fn snapshot(&self, conn: &mut Conn<'_>) -> io::Result<()> {
         let ring = dpr_telemetry::log::logger().ring();
         // Records first: `pushed` only grows, so it never reads below
@@ -198,7 +183,6 @@ impl ServiceRouter {
                 jobs: self.store.statuses(),
                 profile: dpr_prof::snapshot(),
                 metrics: conn.registry().snapshot(),
-                series: self.obs.series().map(|sampler| sampler.history()),
                 log,
             },
         )
@@ -439,7 +423,6 @@ struct Snapshot {
     jobs: Vec<JobStatus>,
     profile: dpr_prof::ProfSnapshot,
     metrics: MetricsSnapshot,
-    series: Option<History>,
     log: LogSnapshot,
 }
 

@@ -1,5 +1,5 @@
 //! `GET /debug/snapshot` over a real `TcpStream`: the diagnostics
-//! bundle parses as one JSON document, carries its six sections in
+//! bundle parses as one JSON document, carries its five sections in
 //! order, and its log section accounts for every record it lists.
 
 use dpr_serve::{AnalysisService, Analyzer, JobInput, JobStatus, ServiceConfig, SubmitResponse};
@@ -52,7 +52,7 @@ fn field<'a>(doc: &'a Value, key: &str) -> &'a Value {
 }
 
 #[test]
-fn debug_snapshot_is_one_json_document_with_six_sections() {
+fn debug_snapshot_is_one_json_document_with_five_sections() {
     let service = AnalysisService::start(
         "127.0.0.1:0",
         ServiceConfig::default(),
@@ -90,10 +90,7 @@ fn debug_snapshot_is_one_json_document_with_six_sections() {
         panic!("snapshot is not an object");
     };
     let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(
-        keys,
-        ["health", "jobs", "profile", "metrics", "series", "log"]
-    );
+    assert_eq!(keys, ["health", "jobs", "profile", "metrics", "log"]);
 
     let Value::Array(jobs) = field(&doc, "jobs") else {
         panic!("jobs is not an array");

@@ -3,9 +3,8 @@
 //! memory stays bounded no matter how long a process runs.
 //!
 //! Every history in the observability stack sits on it: the log record
-//! ring, the sampled metric series and SLO windows, the recent pool
-//! profiles, the published-run store, and the service's per-job event
-//! replay and finished-job history. Storage grows lazily with use, so
+//! ring, the recent pool profiles, the published-run store, and the
+//! service's per-job event replay and finished-job history. Storage grows lazily with use, so
 //! a large bound costs nothing until it fills.
 
 use std::collections::VecDeque;

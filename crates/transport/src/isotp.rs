@@ -602,11 +602,13 @@ impl IsoTpStreamDecoder {
                 self.supersede();
                 self.deliver(data);
             }
-            Ok(IsoTpFrame::First { total_len, data }) => {
+            Ok(IsoTpFrame::First { total_len, mut data }) => {
                 self.supersede();
-                let mut buf = Vec::with_capacity(usize::from(total_len));
-                buf.extend_from_slice(&data[..FF_PAYLOAD.min(data.len())]);
-                self.state = Some((usize::from(total_len), buf, 1));
+                // Keep only the bytes received and grow as CFs arrive:
+                // one 8-byte frame may announce 4095, and a sniffer
+                // opens a transfer per CAN id.
+                data.truncate(FF_PAYLOAD);
+                self.state = Some((usize::from(total_len), data, 1));
             }
             Ok(IsoTpFrame::Consecutive { seq, data }) => {
                 let Some((total, mut buf, expected)) = self.state.take() else {
