@@ -222,7 +222,7 @@ fn explain(args: &[String]) -> ExitCode {
     }
     for chain in selected {
         println!();
-        print!("{}", dpr_evidence::render(chain));
+        print!("{}", dpr_evidence::render(&ledger.expand(chain)));
         match precision.verdicts.iter().find(|v| v.key.to_string() == chain.sensor) {
             Some(v) if v.correct => println!("  accuracy: correct"),
             Some(v) => println!("  accuracy: WRONG, truth {}", v.truth),

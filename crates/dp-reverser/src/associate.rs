@@ -36,9 +36,8 @@ pub struct MatchScore {
 /// later for the same `(series_idx, label_idx)` supersede earlier
 /// ones when the ledger is assembled, so the relaxed second pass can
 /// overwrite a pass-one `below_threshold` with `accepted_rescued`.
+/// The event carries indices only; assembly resolves the names.
 pub(crate) fn record_candidate(
-    xs: &[EsvSeries],
-    ys: &[LabelSeries],
     series_idx: usize,
     label_idx: usize,
     score: f64,
@@ -48,13 +47,9 @@ pub(crate) fn record_candidate(
     if !dpr_evidence::active() {
         return;
     }
-    let ((screen, label), _) = &ys[label_idx];
     dpr_evidence::record(dpr_evidence::Event::Candidate(dpr_evidence::Candidate {
         series_idx: series_idx as u32,
         label_idx: label_idx as u32,
-        key: xs[series_idx].key.to_string(),
-        screen: screen.clone(),
-        label: label.clone(),
         score: dpr_evidence::finite(score),
         pairs: pairs as u32,
         decision,
@@ -140,6 +135,47 @@ pub(crate) fn pair_series(
     out
 }
 
+/// The first and last timestamp of `times` in microseconds; `None`
+/// when empty.
+fn span(times: impl Iterator<Item = Micros>) -> Option<(u64, u64)> {
+    times.map(Micros::as_micros).fold(None, |span, t| match span {
+        None => Some((t, t)),
+        Some((lo, hi)) => Some((lo.min(t), hi.max(t))),
+    })
+}
+
+/// Pairs one candidate like [`pair_series`], but answers without
+/// scanning when the two series' time spans, widened by `window`, never
+/// overlap: no X sample can then have a Y value within `window`, so
+/// [`pair_series`] would return no pairs either.
+fn pair_spans(
+    x: &EsvSeries,
+    x_span: Option<(u64, u64)>,
+    y: &[(Micros, f64)],
+    y_span: Option<(u64, u64)>,
+    window: Micros,
+) -> Vec<(Vec<f64>, f64)> {
+    let w = window.as_micros();
+    match (x_span, y_span) {
+        (Some((x_lo, x_hi)), Some((y_lo, y_hi)))
+            if x_hi.saturating_add(w) >= y_lo && y_hi.saturating_add(w) >= x_lo =>
+        {
+            pair_series(x, y, window)
+        }
+        _ => Vec::new(),
+    }
+}
+
+/// Every X and Y series' time span, for [`pair_spans`].
+type Spans = (Vec<Option<(u64, u64)>>, Vec<Option<(u64, u64)>>);
+
+fn spans(xs: &[EsvSeries], ys: &[LabelSeries]) -> Spans {
+    (
+        xs.iter().map(|x| span(x.samples.iter().map(|(t, _)| *t))).collect(),
+        ys.iter().map(|(_, y)| span(y.iter().map(|(t, _)| *t))).collect(),
+    )
+}
+
 /// Scores one candidate pairing: the best absolute Pearson correlation
 /// over the features `X0`, `X1`, `X0·X1`, with two special cases — exact
 /// equality (enumerations) scores 1.0, and matching constants score 0.35
@@ -186,9 +222,10 @@ pub fn match_series(
     threshold: f64,
 ) -> Vec<MatchScore> {
     let mut candidates: Vec<MatchScore> = Vec::new();
+    let (x_spans, y_spans) = spans(xs, ys);
     for (si, x) in xs.iter().enumerate() {
         for (li, (_, y)) in ys.iter().enumerate() {
-            let pairs = pair_series(x, y, window);
+            let pairs = pair_spans(x, x_spans[si], y, y_spans[li], window);
             let score = score_pairs(&pairs);
             dpr_telemetry::counter("pipeline.pairs_formed").inc(pairs.len() as u64);
             if score >= threshold {
@@ -202,8 +239,6 @@ pub fn match_series(
             } else {
                 dpr_telemetry::counter("pipeline.matches_below_threshold").inc(1);
                 record_candidate(
-                    xs,
-                    ys,
                     si,
                     li,
                     score,
@@ -224,14 +259,12 @@ pub fn match_series(
             } else {
                 dpr_evidence::CandidateDecision::LabelClaimed
             };
-            record_candidate(xs, ys, c.series_idx, c.label_idx, c.score, c.pairs.len(), decision);
+            record_candidate(c.series_idx, c.label_idx, c.score, c.pairs.len(), decision);
             continue;
         }
         used_series[c.series_idx] = true;
         used_labels[c.label_idx] = true;
         record_candidate(
-            xs,
-            ys,
             c.series_idx,
             c.label_idx,
             c.score,
@@ -261,6 +294,7 @@ pub fn match_series_two_pass(
         used_labels[m.label_idx] = true;
     }
     let mut second: Vec<MatchScore> = Vec::new();
+    let (x_spans, y_spans) = spans(xs, ys);
     for (si, x) in xs.iter().enumerate() {
         if used_series[si] {
             continue;
@@ -269,7 +303,7 @@ pub fn match_series_two_pass(
             if used_labels[li] {
                 continue;
             }
-            let pairs = pair_series(x, y, window);
+            let pairs = pair_spans(x, x_spans[si], y, y_spans[li], window);
             let score = score_pairs(&pairs);
             if score >= threshold * 0.6 {
                 second.push(MatchScore {
@@ -289,15 +323,13 @@ pub fn match_series_two_pass(
             } else {
                 dpr_evidence::CandidateDecision::LabelClaimed
             };
-            record_candidate(xs, ys, c.series_idx, c.label_idx, c.score, c.pairs.len(), decision);
+            record_candidate(c.series_idx, c.label_idx, c.score, c.pairs.len(), decision);
             continue;
         }
         used_series[c.series_idx] = true;
         used_labels[c.label_idx] = true;
         dpr_telemetry::counter("pipeline.matches_rescued").inc(1);
         record_candidate(
-            xs,
-            ys,
             c.series_idx,
             c.label_idx,
             c.score,
@@ -407,6 +439,31 @@ mod tests {
             .collect();
         let pairs = pair_series(&x, &y, Micros::from_millis(500));
         assert!(pairs.is_empty());
+    }
+
+    #[test]
+    fn span_check_pairs_exactly_like_the_full_scan() {
+        // X samples at 5.0..7.9 s; 5-sample Y series starting so that
+        // they end or begin just outside, exactly on, and just inside
+        // the 350 ms window on either side.
+        let mut x = x_series(1, |i| vec![i as f64]);
+        for (t, _) in &mut x.samples {
+            *t = Micros::from_millis(t.as_micros() / 1_000 + 5_000);
+        }
+        let window = Micros::from_millis(350);
+        let x_span = span(x.samples.iter().map(|(t, _)| *t));
+        for start_ms in [0, 4_249, 4_250, 4_300, 6_000, 8_250, 8_251, 20_000] {
+            let y: Vec<(Micros, f64)> = (0..5)
+                .map(|i| (Micros::from_millis(start_ms + i * 100), i as f64))
+                .collect();
+            let y_span = span(y.iter().map(|(t, _)| *t));
+            assert_eq!(
+                pair_spans(&x, x_span, &y, y_span, window),
+                pair_series(&x, &y, window),
+                "Y from {start_ms} ms"
+            );
+        }
+        assert!(pair_spans(&x, x_span, &[], None, window).is_empty());
     }
 
     #[test]

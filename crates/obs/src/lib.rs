@@ -43,9 +43,9 @@ pub mod trace_event;
 pub use flame::Profile;
 pub use regress::{Comparison, Direction, Verdict};
 pub use server::{
-    route_slug, shared_runs, Conn, HealthStatus, HttpHandler, HttpServer,
+    evidence_document, route_slug, shared_runs, Conn, HealthStatus, HttpHandler, HttpServer,
     MetricsServer, ObsRouter, RunListing, RunRecord, RunStore, ServerConfig, SharedRuns,
-    METRICS_ADDR_ENV, OBS_ROUTES, RUNS_KEPT,
+    METRICS_ADDR_ENV, OBS_ROUTES, RETAINED_BYTES, RUNS_KEPT,
 };
 pub use table::{SessionTable, SessionToken};
 pub use trace_event::{TraceExport, TRACE_EVENTS_ENV};
@@ -57,7 +57,7 @@ use std::sync::Arc;
 
 /// Environment variable naming the JSON-lines evidence export file: when
 /// set, every [`ObsSession::publish_run`] appends one JSON line per
-/// recovered sensor's [`EvidenceChain`](dpr_evidence::EvidenceChain).
+/// recovered sensor's [`SensorEvidence`](dpr_evidence::SensorEvidence).
 /// The file is truncated when the session starts.
 pub const EVIDENCE_JSON_ENV: &str = "DPR_EVIDENCE_JSON";
 
@@ -133,10 +133,13 @@ impl ObsSession {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
+        let document = server::evidence_document(ledger);
         let id = self
             .runs
             .lock()
-            .publish(at_ms, None, trace.clone(), ledger.clone());
+            .publish(at_ms, None, trace.clone(), ledger, document)
+            .id
+            .clone();
         if let Some(path) = &self.evidence_path {
             if let Err(e) = append_chains(path, ledger) {
                 eprintln!(
@@ -181,12 +184,13 @@ impl ObsSession {
     }
 }
 
-/// Appends one JSON line per chain of `ledger` to `path`.
+/// Appends one JSON line per chain of `ledger` to `path`, each the
+/// self-contained [`SensorEvidence`](dpr_evidence::SensorEvidence).
 fn append_chains(path: &Path, ledger: &dpr_evidence::EvidenceLedger) -> std::io::Result<()> {
     use std::io::Write;
     let mut file = std::fs::OpenOptions::new().append(true).open(path)?;
     for chain in &ledger.chains {
-        let line = dpr_telemetry::json::to_string(chain)
+        let line = dpr_telemetry::json::to_string(&ledger.expand(chain))
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         writeln!(file, "{line}")?;
     }

@@ -161,17 +161,34 @@ fn runs_and_evidence_routes_serve_published_runs() {
         match_pairs: 12,
         samples: vec![],
         ocr: vec![],
-        candidates: vec![],
+        candidates: vec![0],
+        zero_pair_candidates: 3,
         lineage: None,
     });
+    ledger.candidates.push(dpr_evidence::Candidate {
+        series_idx: 0,
+        label_idx: 0,
+        score: Some(0.75),
+        pairs: 12,
+        decision: dpr_evidence::CandidateDecision::AcceptedStrict,
+    });
+    ledger.names = dpr_evidence::Names {
+        series: vec!["DID 0xF40D".into()],
+        labels: vec![("Engine".into(), "Vehicle Speed".into())],
+    };
     // Each run's trace is told apart by its total wall time.
     let trace = |total_us| PipelineTrace {
         total_us,
         ..PipelineTrace::default()
     };
-    runs.lock().publish(1_000, Some("job-1".into()), trace(111), ledger.clone());
+    let publish = |at_ms, job: &str, total_us, ledger: &dpr_evidence::EvidenceLedger| {
+        let document = dpr_obs::evidence_document(ledger);
+        runs.lock()
+            .publish(at_ms, Some(job.into()), trace(total_us), ledger, document);
+    };
+    publish(1_000, "job-1", 111, &ledger);
     ledger.chains[0].formula = "X0 * 0.5".into();
-    runs.lock().publish(2_000, Some("job-2".into()), trace(222), ledger);
+    publish(2_000, "job-2", 222, &ledger);
 
     let (head, body) = get(addr, "/runs");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -193,9 +210,14 @@ fn runs_and_evidence_routes_serve_published_runs() {
 
     let (head, body) = get(addr, "/evidence/did-0xf40d");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let chain: dpr_evidence::EvidenceChain =
+    let evidence: dpr_evidence::SensorEvidence =
         dpr_telemetry::json::from_str(&body).expect("parse /evidence chain");
-    assert_eq!(chain.formula, "X0 * 0.5", "latest run wins");
+    assert_eq!(evidence, ledger.sensor("did-0xf40d").expect("chain"));
+    assert_eq!(evidence.chain.formula, "X0 * 0.5", "latest run wins");
+    // The chain's candidate comes back with its names resolved.
+    assert_eq!(evidence.candidates.len(), 1);
+    assert_eq!(evidence.candidates[0].key, "DID 0xF40D");
+    assert_eq!(evidence.candidates[0].label, "Vehicle Speed");
 
     let (head, body) = get(addr, "/evidence/nope");
     assert!(head.starts_with("HTTP/1.1 404"), "{head}");

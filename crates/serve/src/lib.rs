@@ -21,11 +21,13 @@
 //!   the canonical result
 //!   JSON — byte-identical to what a direct
 //!   `DpReverser::analyze_capture` call would produce.
-//! * Completed runs publish their trace and evidence ledger as one
-//!   record into the shared [`RunStore`](dpr_obs::RunStore), so the
-//!   existing `/runs`, `/trace` and `/evidence/<sensor>` observability
-//!   routes work on service results unchanged, alongside `/metrics` and
-//!   `/healthz`.
+//! * A completed run is stored once: its canonical result JSON and
+//!   trace become one shared [`RunRecord`](dpr_obs::RunRecord) that the
+//!   job table and the [`RunStore`](dpr_obs::RunStore) both hold, so
+//!   `GET /jobs/<id>/result` and the existing `/runs`, `/trace` and
+//!   `/evidence/<sensor>` observability routes all read the same copy,
+//!   alongside `/metrics` and `/healthz`. Both histories evict their
+//!   oldest entries beyond a count or [`RETAINED_BYTES`] of results.
 //!
 //! The HTTP substrate (bounded request parsing, slot-map session table
 //! with idle timeouts, handler pool) lives in [`dpr_obs`]; this crate
@@ -46,6 +48,8 @@ pub use jobs::{
     SUBSCRIBER_QUEUE,
 };
 pub use router::{ServiceHealth, ServiceRouter, SubmitResponse, SERVE_ROUTES};
+
+pub use dpr_obs::RETAINED_BYTES;
 
 use dpr_obs::{shared_runs, HttpServer, ObsRouter, ServerConfig, SharedRuns};
 use dpr_telemetry::Registry;
@@ -85,7 +89,8 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Largest request body accepted, in bytes; beyond it, `413`.
     pub max_body_bytes: u64,
-    /// Finished jobs kept queryable before eviction (`jobs.evicted`).
+    /// Finished jobs kept queryable before eviction (`jobs.evicted`);
+    /// fewer when their results exceed [`RETAINED_BYTES`].
     pub jobs_kept: usize,
     /// Always `None`: the service keeps no metrics history. The field
     /// stays only because `perfbench`'s self-test still writes

@@ -3,9 +3,10 @@
 //!
 //! Each job runs against its own fresh [`Registry`] (scoped
 //! thread-locally for the duration of the analysis) so pipeline
-//! counters never bleed between concurrent jobs. Results publish to the
-//! shared run store as one record — trace and evidence chains together,
-//! exactly as a direct `dpr-bench` run would.
+//! counters never bleed between concurrent jobs. A finished run is
+//! stored once: its canonical result JSON and trace become one shared
+//! [`RunRecord`](dpr_obs::RunRecord), held by both the run store and
+//! the job table, and every route that shows the run reads that copy.
 //!
 //! Correlation: the worker pushes `job_id` onto its log context for the
 //! duration of the job (the pipeline's stage records, and — through
@@ -47,7 +48,7 @@ pub(crate) fn run_worker(
         });
         match outcome {
             Ok(Ok(result)) => {
-                let canonical = result.canonical_json();
+                let canonical: Arc<str> = result.canonical_json().into();
                 let stages = result
                     .trace
                     .stages
@@ -67,21 +68,26 @@ pub(crate) fn run_worker(
                 // throwaway job registry. The job's own canonical
                 // result stays byte-identical to a direct pipeline run;
                 // only the published trace carries the job id.
-                let run_id = dpr_telemetry::scoped(Arc::clone(&service_registry), || {
-                    runs.lock()
-                        .publish(at_ms, Some(external.clone()), result.trace, result.evidence)
+                let run = dpr_telemetry::scoped(Arc::clone(&service_registry), || {
+                    runs.lock().publish(
+                        at_ms,
+                        Some(external.clone()),
+                        result.trace,
+                        &result.evidence,
+                        canonical,
+                    )
                 });
                 service_registry.histogram("jobs.run_us").record(wall_us as f64);
                 log::info(
                     "serve.job",
                     "run published",
                     &[
-                        ("run_id", run_id.as_str().into()),
+                        ("run_id", run.id.as_str().into()),
                         ("wall_us", wall_us.into()),
                     ],
                 );
                 log::remove_sink(tap);
-                store.complete(id, run_id, canonical, stages, wall_us);
+                store.complete(id, run, stages, wall_us);
             }
             Ok(Err(error)) => {
                 log::warn("serve.job", "job failed", &[("error", error.as_str().into())]);

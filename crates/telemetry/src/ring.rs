@@ -42,6 +42,15 @@ impl<T> Ring<T> {
         evicted
     }
 
+    /// Evicts the oldest entry ahead of the capacity bound, for an
+    /// owner that keeps a second bound of its own (bytes held); it is
+    /// counted in [`dropped`](Ring::dropped) like a capacity eviction.
+    pub fn evict_oldest(&mut self) -> Option<T> {
+        let evicted = self.buf.pop_front();
+        self.dropped += u64::from(evicted.is_some());
+        evicted
+    }
+
     /// The retention bound.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -57,7 +66,7 @@ impl<T> Ring<T> {
         self.buf.is_empty()
     }
 
-    /// How many entries capacity eviction has discarded so far.
+    /// How many entries eviction has discarded so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -93,6 +102,19 @@ mod tests {
         assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
         assert_eq!(ring.last(), Some(&4));
         assert_eq!(ring.tail(2).copied().collect::<Vec<_>>(), vec![3, 4]);
+    }
+
+    #[test]
+    fn evict_oldest_is_counted_as_dropped() {
+        let mut ring = Ring::new(3);
+        ring.push(1);
+        ring.push(2);
+        assert_eq!(ring.evict_oldest(), Some(1));
+        assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(ring.dropped(), 1);
+        assert_eq!(ring.evict_oldest(), Some(2));
+        assert_eq!(ring.evict_oldest(), None);
+        assert_eq!(ring.dropped(), 2);
     }
 
     #[test]
