@@ -17,10 +17,11 @@ use dpr_prof::alloc::{thread_alloc_stats, CountingAlloc};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations a whole paper-budget fit may make per generation. A
+/// Allocations a whole paper-budget fit may make per generation: it
+/// reads 21 (of which spans make none), plus a small margin. A
 /// generation of 1000 individuals bred one `Vec` per child would make
 /// at least 1000.
-const MAX_ALLOCS_PER_GENERATION: u64 = 64;
+const MAX_ALLOCS_PER_GENERATION: u64 = 24;
 
 #[test]
 fn breeding_allocates_per_generation_not_per_child() {
