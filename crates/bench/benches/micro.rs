@@ -15,6 +15,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use dpr_baselines::{LinearRegression, PolynomialFit, Regressor};
+use dpr_bench::round_to;
 use dpr_can::Micros;
 use dpr_cps::{plan_route, PlanStrategy};
 use dpr_gp::expr::{BinaryOp, Expr, UnaryOp};
@@ -26,6 +27,7 @@ use dpr_ocr::{mad_inliers, OcrChannel};
 use dpr_transport::isotp::IsoTpStreamDecoder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::Serialize;
 
 fn gp_dataset() -> Dataset {
     Dataset::from_triples((0..100).map(|i| {
@@ -144,6 +146,25 @@ fn time_passes(min: Duration, mut pass: impl FnMut()) -> (u32, Duration) {
     }
 }
 
+/// The `BENCH_gp.json` document, in this key order.
+#[derive(Serialize)]
+struct GpJson {
+    bench: &'static str,
+    quick: bool,
+    population: usize,
+    rows: usize,
+    threads: usize,
+    recursive_evals_per_sec: u64,
+    compiled_evals_per_sec: u64,
+    compiled_speedup: f64,
+    pool_1_thread_evals_per_sec: u64,
+    pool_n_threads_evals_per_sec: u64,
+    dedup_duplicate_share: f64,
+    dedup_speedup: f64,
+    paper_fit_rows: usize,
+    paper_fits_per_sec: f64,
+}
+
 /// Times the GP scoring paths and writes `BENCH_gp.json`: evals/sec for
 /// the recursive walker vs. the batch scorer and 1- vs. N-thread pool
 /// scoring, plus the derived speedups, and paper-budget fits/sec at one
@@ -249,12 +270,9 @@ fn emit_gp_json(_c: &mut Criterion) {
         })
         .fold(0.0f64, f64::max);
 
-    // Whole paper-budget fits at one thread, the shape the pipeline runs:
-    // each fit is one task of the per-sensor fan-out, so its scoring
-    // drains inline.
+    // Whole paper-budget fits, the shape the pipeline runs: each fit is
+    // one task of the per-sensor fan-out and runs on that task's thread.
     let fit_data = paper_fit_dataset();
-    let saved_threads = std::env::var(dpr_par::THREADS_ENV).ok();
-    std::env::set_var(dpr_par::THREADS_ENV, "1");
     // Best of three windows, as for dedup: the max filters scheduler noise.
     let paper_fits = (0..3)
         .map(|_| {
@@ -264,51 +282,30 @@ fn emit_gp_json(_c: &mut Criterion) {
             f64::from(fits) / elapsed.as_secs_f64()
         })
         .fold(0.0f64, f64::max);
-    match saved_threads {
-        Some(v) => std::env::set_var(dpr_par::THREADS_ENV, v),
-        None => std::env::remove_var(dpr_par::THREADS_ENV),
-    }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"gp_scoring\",\n",
-            "  \"quick\": {quick},\n",
-            "  \"population\": {pop},\n",
-            "  \"rows\": {rows},\n",
-            "  \"threads\": {threads},\n",
-            "  \"recursive_evals_per_sec\": {recursive:.0},\n",
-            "  \"compiled_evals_per_sec\": {compiled:.0},\n",
-            "  \"compiled_speedup\": {cs:.2},\n",
-            "  \"pool_1_thread_evals_per_sec\": {par1:.0},\n",
-            "  \"pool_n_threads_evals_per_sec\": {parn:.0},\n",
-            "  \"dedup_duplicate_share\": {ds:.2},\n",
-            "  \"dedup_speedup\": {dds:.2},\n",
-            "  \"paper_fit_rows\": {fit_rows},\n",
-            "  \"paper_fits_per_sec\": {pf:.1}\n",
-            "}}\n"
-        ),
-        quick = quick,
-        pop = pop.len(),
-        rows = data.len(),
-        threads = n_threads,
-        recursive = recursive,
-        compiled = batch,
-        cs = batch / recursive,
-        par1 = par1,
-        parn = parn,
-        ds = dup_share,
-        dds = with_dedup / no_dedup,
-        fit_rows = fit_data.len(),
-        pf = paper_fits,
-    );
+    let json = dpr_bench::bench_json(&GpJson {
+        bench: "gp_scoring",
+        quick,
+        population: pop.len(),
+        rows: data.len(),
+        threads: n_threads,
+        recursive_evals_per_sec: recursive.round() as u64,
+        compiled_evals_per_sec: batch.round() as u64,
+        compiled_speedup: round_to(batch / recursive, 2),
+        pool_1_thread_evals_per_sec: par1.round() as u64,
+        pool_n_threads_evals_per_sec: parn.round() as u64,
+        dedup_duplicate_share: round_to(dup_share, 2),
+        dedup_speedup: round_to(with_dedup / no_dedup, 2),
+        paper_fit_rows: fit_data.len(),
+        paper_fits_per_sec: round_to(paper_fits, 1),
+    });
     let path = std::env::var("DPR_BENCH_JSON").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gp.json").to_string()
     });
     std::fs::write(&path, &json).expect("write BENCH_gp.json");
     println!(
         "gp scoring: batch {:.1}x vs recursive, dedup {:.2}x at {dup_share:.0}% duplicates, \
-         {paper_fits:.1} paper fits/s at 1 thread — wrote {path}",
+         {paper_fits:.1} paper fits/s — wrote {path}",
         batch / recursive,
         with_dedup / no_dedup,
         dup_share = dup_share * 100.0,

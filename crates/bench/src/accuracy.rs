@@ -19,7 +19,9 @@ use dpr_vehicle::ecu::EsvId;
 use dpr_vehicle::profiles::{self, CarId};
 use serde::Serialize;
 
-use crate::{analyze_traced, car_seed, collect_car, par_cars, quick, read_secs, EXPERIMENT_SEED};
+use crate::{
+    analyze_traced, bench_json, car_seed, collect_car, par_cars, quick, read_secs, EXPERIMENT_SEED,
+};
 
 /// The four cars whose dashboards Tab. 7 validates.
 pub const TAB7_CARS: [CarId; 4] = [CarId::F, CarId::K, CarId::L, CarId::R];
@@ -260,64 +262,42 @@ pub fn run() -> AccuracyRun {
     }
 }
 
+/// The `BENCH_accuracy.json` document, in this key order.
+#[derive(Serialize)]
+struct AccuracyJson {
+    bench: &'static str,
+    quick: bool,
+    seed: u64,
+    table5: String,
+    table6_formula: String,
+    table6_enum: String,
+    table7: String,
+    table5_rows: Vec<PidRow>,
+    table6_rows: Vec<CarRow>,
+    table7_rows: Vec<DashRow>,
+}
+
 /// Renders `BENCH_accuracy.json`: totals first, then one table row per
 /// line, so a diff against the baseline names the row that moved.
 pub fn accuracy_json(run: &AccuracyRun) -> String {
-    fn rows<T: Serialize>(rows: &[T]) -> String {
-        let lines: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {}",
-                    dpr_telemetry::json::to_string(r).expect("row serializes")
-                )
-            })
-            .collect();
-        lines.join(",\n")
-    }
     let sum = |f: fn(&CarRow) -> usize| run.table6.iter().map(f).sum::<usize>();
-    let count = |n: usize, d: usize| format!("\"{n}/{d}\"");
-    let totals = [
-        (
-            "table5",
-            count(
-                run.table5.iter().filter(|r| r.correct).count(),
-                run.table5.len(),
-            ),
+    let count = |n: usize, d: usize| format!("{n}/{d}");
+    bench_json(&AccuracyJson {
+        bench: "accuracy",
+        quick: run.quick,
+        seed: EXPERIMENT_SEED,
+        table5: count(
+            run.table5.iter().filter(|r| r.correct).count(),
+            run.table5.len(),
         ),
-        (
-            "table6_formula",
-            count(sum(|r| r.formula_correct), sum(|r| r.formula_total)),
+        table6_formula: count(sum(|r| r.formula_correct), sum(|r| r.formula_total)),
+        table6_enum: count(sum(|r| r.enum_correct), sum(|r| r.enum_total)),
+        table7: count(
+            run.table7.iter().filter(|r| r.validated).count(),
+            run.table7.len(),
         ),
-        (
-            "table6_enum",
-            count(sum(|r| r.enum_correct), sum(|r| r.enum_total)),
-        ),
-        (
-            "table7",
-            count(
-                run.table7.iter().filter(|r| r.validated).count(),
-                run.table7.len(),
-            ),
-        ),
-    ];
-    let mut out = String::from("{\n  \"bench\": \"accuracy\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", run.quick));
-    out.push_str(&format!("  \"seed\": {EXPERIMENT_SEED},\n"));
-    for (name, value) in totals {
-        out.push_str(&format!("  \"{name}\": {value},\n"));
-    }
-    out.push_str(&format!(
-        "  \"table5_rows\": [\n{}\n  ],\n",
-        rows(&run.table5)
-    ));
-    out.push_str(&format!(
-        "  \"table6_rows\": [\n{}\n  ],\n",
-        rows(&run.table6)
-    ));
-    out.push_str(&format!(
-        "  \"table7_rows\": [\n{}\n  ]\n}}\n",
-        rows(&run.table7)
-    ));
-    out
+        table5_rows: run.table5.clone(),
+        table6_rows: run.table6.clone(),
+        table7_rows: run.table7.clone(),
+    })
 }

@@ -21,6 +21,8 @@ use dpr_tool::{ToolProfile, ToolSession};
 use dpr_vehicle::profiles::{self, CarId};
 use dpr_vehicle::TransportKind;
 use dpr_capture::CaptureReader;
+use serde::Serialize;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
@@ -102,24 +104,35 @@ pub fn experiment_config(id: CarId, seed: u64) -> PipelineConfig {
     config
 }
 
+/// The experiment config a capture's metadata names: its recorded
+/// `car` (required: it fixes the transport scheme and the tool's OCR
+/// quality) and `seed`. A capture with no parseable seed runs at
+/// [`car_seed`], the seed the capture tooling records with. Both
+/// `dpr-bench analyze` ([`capture_pipeline`]) and the service's
+/// [`BenchAnalyzer`] configure from here, so a served result equals a
+/// direct run's.
+pub fn capture_config(meta: &BTreeMap<String, String>) -> Result<PipelineConfig, String> {
+    let id = meta
+        .get("car")
+        .and_then(|c| parse_car(c))
+        .ok_or("capture carries no car metadata; cannot configure the pipeline")?;
+    let seed = meta
+        .get("seed")
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| car_seed(id));
+    Ok(experiment_config(id, seed))
+}
+
 /// Opens a `.dprcap` capture and builds the pipeline `dpr-bench analyze`
-/// runs on it: the experiment config of the car and seed recorded in
-/// the capture's metadata. Returns it with a fresh reader of the
-/// capture, ready for [`DpReverser::analyze_capture`].
+/// runs on it ([`capture_config`]). Returns it with a fresh reader of
+/// the capture, ready for [`DpReverser::analyze_capture`].
 pub fn capture_pipeline(
     path: &Path,
 ) -> Result<(DpReverser, CaptureReader<BufReader<File>>), String> {
     let open = || CaptureReader::open(path).map_err(|e| format!("{}: {e}", path.display()));
     let (session, _) = open()?.read_session();
-    let id = session.meta.get("car").and_then(|c| parse_car(c));
-    let seed: Option<u64> = session.meta.get("seed").and_then(|s| s.parse().ok());
-    let (Some(id), Some(seed)) = (id, seed) else {
-        return Err(format!(
-            "{} carries no car/seed metadata; cannot configure the pipeline",
-            path.display()
-        ));
-    };
-    Ok((DpReverser::new(experiment_config(id, seed)), open()?))
+    let config = capture_config(&session.meta).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok((DpReverser::new(config), open()?))
 }
 
 /// Runs the pipeline over a collected report.
@@ -139,17 +152,7 @@ impl dpr_serve::Analyzer for BenchAnalyzer {
     fn analyze(&self, input: dpr_serve::JobInput) -> Result<ReverseEngineeringResult, String> {
         match input {
             dpr_serve::JobInput::Capture(session) => {
-                let id = session
-                    .meta
-                    .get("car")
-                    .and_then(|c| parse_car(c))
-                    .ok_or_else(|| "capture carries no car metadata".to_string())?;
-                let seed = session
-                    .meta
-                    .get("seed")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| car_seed(id));
-                let pipeline = DpReverser::new(experiment_config(id, seed));
+                let pipeline = DpReverser::new(capture_config(&session.meta)?);
                 Ok(pipeline.analyze_replay(&session))
             }
             dpr_serve::JobInput::Car(name) => {
@@ -248,6 +251,80 @@ pub fn print_trace(result: &ReverseEngineeringResult) {
     print!("{}", dpr_telemetry::summary::render_trace(&result.trace));
 }
 
+/// Renders a bench record as a `BENCH_*.json` document: one top-level
+/// key per line and each element of a top-level array on its own line,
+/// so a diff against a baseline names the key or row that moved. Nested
+/// values stay compact.
+///
+/// The record is serialized once, by [`dpr_telemetry::json::to_string`],
+/// whose compact output has no whitespace outside strings; this only
+/// breaks that text into lines at the separators of the outer object and
+/// of its arrays.
+pub fn bench_json<T: Serialize>(record: &T) -> String {
+    let compact = dpr_telemetry::json::to_string(record).expect("a bench record serializes");
+    let mut out: Vec<u8> = Vec::with_capacity(compact.len() * 9 / 8 + 2);
+    // The brackets enclosing the current byte, outermost first. Only the
+    // outer object and the arrays directly inside it are broken into
+    // lines, each level indented by two spaces.
+    let mut open: Vec<u8> = Vec::new();
+    let broken = |open: &[u8]| matches!(open, [b'{'] | [b'{', b'[']);
+    let newline = |out: &mut Vec<u8>, depth: usize| {
+        out.push(b'\n');
+        out.resize(out.len() + 2 * depth, b' ');
+    };
+    let (mut in_str, mut escaped) = (false, false);
+    let mut bytes = compact.bytes().peekable();
+    while let Some(b) = bytes.next() {
+        if in_str {
+            match (escaped, b) {
+                (true, _) => escaped = false,
+                (false, b'\\') => escaped = true,
+                (false, b'"') => in_str = false,
+                _ => {}
+            }
+            out.push(b);
+            continue;
+        }
+        match b {
+            b'"' => in_str = true,
+            b'{' | b'[' => {
+                open.push(b);
+                out.push(b);
+                if broken(&open) && !matches!(bytes.peek(), Some(b'}' | b']')) {
+                    newline(&mut out, open.len());
+                }
+                continue;
+            }
+            b'}' | b']' => {
+                if broken(&open) && !matches!(out.last(), Some(b'{' | b'[')) {
+                    newline(&mut out, open.len() - 1);
+                }
+                open.pop();
+            }
+            b',' if broken(&open) => {
+                out.push(b);
+                newline(&mut out, open.len());
+                continue;
+            }
+            b':' if open.len() == 1 => {
+                out.extend_from_slice(b": ");
+                continue;
+            }
+            _ => {}
+        }
+        out.push(b);
+    }
+    out.push(b'\n');
+    String::from_utf8(out).expect("only ASCII was inserted, between whole characters")
+}
+
+/// `x` rounded to `decimals` places: what a bench record stores for a
+/// ratio or rate, so its file keeps the precision the baseline records.
+pub fn round_to(x: f64, decimals: i32) -> f64 {
+    let scale = 10f64.powi(decimals);
+    (x * scale).round() / scale
+}
+
 /// Prints a bench header naming the table being reproduced.
 pub fn header(table: &str, claim: &str) {
     println!("==================================================================");
@@ -275,6 +352,51 @@ mod tests {
         assert_eq!(scheme_for(CarId::A), Scheme::IsoTp);
         assert_eq!(scheme_for(CarId::B), Scheme::VwTp);
         assert_eq!(scheme_for(CarId::G), Scheme::BmwRaw);
+    }
+
+    #[test]
+    fn bench_json_breaks_only_the_outer_object_and_its_arrays() {
+        #[derive(Serialize)]
+        struct Row {
+            name: String,
+            ids: Vec<u8>,
+        }
+        #[derive(Serialize)]
+        struct Record {
+            bench: &'static str,
+            share: f64,
+            rows: Vec<Row>,
+            empty: Vec<u8>,
+        }
+        let record = Record {
+            bench: "t",
+            share: round_to(0.123456, 3),
+            rows: vec![
+                Row {
+                    name: "a, [b]: {\"c\"}".to_string(),
+                    ids: vec![1, 2],
+                },
+                Row {
+                    name: String::new(),
+                    ids: Vec::new(),
+                },
+            ],
+            empty: Vec::new(),
+        };
+        assert_eq!(
+            bench_json(&record),
+            concat!(
+                "{\n",
+                "  \"bench\": \"t\",\n",
+                "  \"share\": 0.123,\n",
+                "  \"rows\": [\n",
+                "    {\"name\":\"a, [b]: {\\\"c\\\"}\",\"ids\":[1,2]},\n",
+                "    {\"name\":\"\",\"ids\":[]}\n",
+                "  ],\n",
+                "  \"empty\": []\n",
+                "}\n"
+            )
+        );
     }
 
     #[test]

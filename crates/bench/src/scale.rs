@@ -1,16 +1,16 @@
 //! `dpr-bench scale`: the thread-scaling harness behind
 //! `BENCH_scale.json`.
 //!
-//! The pipeline parallelizes GP inference one level up from scoring: the
-//! inference stage maps every matched sensor's whole fit through one
-//! [`dpr_par`] call, and the scoring calls inside each fit are nested and
-//! drain inline. That is the workload measured here: one pass is one
-//! `par_map` over K independent [`SymbolicRegressor::fit`]s
-//! ([`GpConfig::fast`]) on synthetic sensor datasets, and the
-//! sweep runs the identical pass with `DPR_THREADS` set to each pool
-//! size, resetting the [`dpr_prof`] store between points so each point's
-//! scheduling profile (utilization, imbalance, idle/wait/spin-up shares,
-//! thread spawns, pooled calls) is attributable to exactly that size.
+//! The pipeline parallelizes GP inference across sensors: the inference
+//! stage maps every matched sensor's whole fit through one [`dpr_par`]
+//! call, and each fit runs sequentially on its worker. That is the
+//! workload measured here: one pass is one `par_map` over K independent
+//! [`SymbolicRegressor::fit`]s ([`GpConfig::fast`]) on synthetic sensor
+//! datasets, and the sweep runs the identical pass on a
+//! [`dpr_par::Pool::new`] of each size, resetting the [`dpr_prof`] store
+//! between points so each point's scheduling profile (utilization,
+//! imbalance, idle/wait/spin-up shares, thread spawns, pooled calls) is
+//! attributable to exactly that size.
 //!
 //! Every point records `pooled_calls`, the passes that actually ran on
 //! the pool, so an N-thread point that drained inline can never pass as
@@ -24,7 +24,12 @@
 //! and the share/spawn/call counts stay informational.
 
 use dpr_gp::{Dataset, GpConfig, SymbolicRegressor};
+use dpr_par::Pool;
+use serde::ser::{SerializeMap, Serializer};
+use serde::Serialize;
 use std::time::{Duration, Instant};
+
+use crate::{bench_json, round_to};
 
 /// The [`dpr_prof`] label every scale-harness fan-out call runs under,
 /// isolating the sweep's profile from anything else in the process.
@@ -33,7 +38,7 @@ pub const SCALE_LABEL: &str = "bench.scale";
 /// One thread-count measurement of the sweep.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
-    /// Pool size measured (`DPR_THREADS` during the point).
+    /// Pool size measured.
     pub threads: usize,
     /// Passes (one fan-out over every fit each) across the timed windows.
     pub passes: u32,
@@ -142,9 +147,7 @@ fn sensor_dataset(i: usize) -> Dataset {
 /// Runs the sweep at the given pool sizes. `quick` shrinks the fit count
 /// and the per-point timing window (pass [`crate::quick`]).
 ///
-/// Each point sets `DPR_THREADS` to its pool size for its duration (the
-/// previous value is restored afterwards), so the fan-out and every fit's
-/// scoring calls resolve their pool exactly as the pipeline's do. The
+/// Each point maps its passes on a [`Pool::new`] of its size. The
 /// profile store is [`dpr_prof::reset`] before each point, so the
 /// returned scheduling ratios cover exactly that point's calls — note
 /// this clears the store for the whole process.
@@ -159,35 +162,34 @@ fn sweep(threads: &[usize], quick: bool, workload: &Workload) -> ScaleRun {
 
     // One pass: the pipeline's inference shape — one fan-out over whole
     // fits — returning the logical evaluations it performed.
-    let pass = || -> u64 {
+    let pass = |pool: &Pool| -> u64 {
         let models = dpr_prof::with_label(SCALE_LABEL, || {
-            dpr_par::Pool::from_env().par_map(&jobs, |(data, seed)| {
+            pool.par_map(&jobs, |(data, seed)| {
                 SymbolicRegressor::new((workload.config)(*seed)).fit(data)
             })
         });
         models.iter().map(|m| m.evaluations).sum()
     };
 
-    let saved = std::env::var(dpr_par::THREADS_ENV).ok();
     // Untimed warm-up at the ladder's largest pool: a core that sat idle
     // before the sweep runs slow for a while after waking, which would
     // otherwise land in the first multi-threaded point and read as
     // negative scaling.
     if let Some(&most) = threads.iter().max() {
-        std::env::set_var(dpr_par::THREADS_ENV, most.to_string());
+        let pool = Pool::new(most);
         let warm = Instant::now();
         while warm.elapsed() < workload.warm_up {
-            pass();
+            pass(&pool);
         }
     }
     let mut points: Vec<ScalePoint> = Vec::with_capacity(threads.len());
     for &t in threads {
-        std::env::set_var(dpr_par::THREADS_ENV, t.to_string());
+        let pool = Pool::new(t);
         // Resetting here scopes the store to exactly this point's calls.
         dpr_prof::reset();
         // One untimed pass settles the point's pool. The fits are seeded,
         // so its evaluation count is every pass's.
-        let evals_per_pass = pass() as f64;
+        let evals_per_pass = pass(&pool) as f64;
         // Best of three timed windows: the max filters scheduler
         // interruptions and frequency ramps, which would otherwise
         // dominate the point-to-point ratio on a busy host.
@@ -197,7 +199,7 @@ fn sweep(threads: &[usize], quick: bool, workload: &Workload) -> ScaleRun {
             let mut window_passes = 0u32;
             let start = Instant::now();
             let elapsed = loop {
-                pass();
+                pass(&pool);
                 window_passes += 1;
                 let elapsed = start.elapsed();
                 if elapsed >= workload.window {
@@ -235,11 +237,6 @@ fn sweep(threads: &[usize], quick: bool, workload: &Workload) -> ScaleRun {
             report,
         });
     }
-    match saved {
-        Some(v) => std::env::set_var(dpr_par::THREADS_ENV, v),
-        None => std::env::remove_var(dpr_par::THREADS_ENV),
-    }
-
     // Speedups are relative to the 1-thread point (or the first point,
     // when the caller's ladder skips 1).
     let base = points
@@ -307,53 +304,63 @@ pub fn render_scale(run: &ScaleRun) -> String {
     out
 }
 
+/// One `threads_N` block of `BENCH_scale.json`, rounded to the
+/// precision the baseline records.
+#[derive(Serialize)]
+struct PointJson {
+    evals_per_sec: u64,
+    speedup: f64,
+    utilization: f64,
+    imbalance: f64,
+    steal_ratio: f64,
+    idle_share: f64,
+    wait_share: f64,
+    spinup_share: f64,
+    pool_spawns: u64,
+    pooled_calls: u64,
+    allocs_per_pass: u64,
+}
+
+impl PointJson {
+    fn new(p: &ScalePoint) -> PointJson {
+        PointJson {
+            evals_per_sec: p.evals_per_sec.round() as u64,
+            speedup: round_to(p.speedup, 3),
+            utilization: round_to(p.utilization, 3),
+            imbalance: round_to(p.imbalance, 3),
+            steal_ratio: round_to(p.steal_ratio, 3),
+            idle_share: round_to(p.idle_share, 3),
+            wait_share: round_to(p.wait_share, 3),
+            spinup_share: round_to(p.spinup_share, 4),
+            pool_spawns: p.pool_spawns,
+            pooled_calls: p.pooled_calls,
+            allocs_per_pass: p.allocs_per_pass.round() as u64,
+        }
+    }
+}
+
+/// `BENCH_scale.json`: the workload header, then one `threads_N` key per
+/// point — keys named at run time, hence serialized as a map.
+impl Serialize for ScaleRun {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut map = serializer.serialize_map(None)?;
+        map.serialize_entry("bench", "gp_scale")?;
+        map.serialize_entry("quick", &self.quick)?;
+        map.serialize_entry("host_cores", &self.host_cores)?;
+        map.serialize_entry("fits", &self.fits)?;
+        map.serialize_entry("population", &self.population)?;
+        map.serialize_entry("rows", &self.rows)?;
+        for p in &self.points {
+            map.serialize_entry(&format!("threads_{}", p.threads), &PointJson::new(p))?;
+        }
+        map.end()
+    }
+}
+
 /// Renders the sweep as the `BENCH_scale.json` document. Nested
 /// `threads_N` blocks flatten to dotted keys in `dpr-bench regress`.
 pub fn scale_json(run: &ScaleRun) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        concat!(
-            "  \"bench\": \"gp_scale\",\n  \"quick\": {},\n  \"host_cores\": {},\n",
-            "  \"fits\": {},\n  \"population\": {},\n  \"rows\": {},\n"
-        ),
-        run.quick, run.host_cores, run.fits, run.population, run.rows
-    ));
-    for (i, p) in run.points.iter().enumerate() {
-        let comma = if i + 1 == run.points.len() { "" } else { "," };
-        out.push_str(&format!(
-            concat!(
-                "  \"threads_{t}\": {{\n",
-                "    \"evals_per_sec\": {eps:.0},\n",
-                "    \"speedup\": {sp:.3},\n",
-                "    \"utilization\": {util:.3},\n",
-                "    \"imbalance\": {imb:.3},\n",
-                "    \"steal_ratio\": {steal:.3},\n",
-                "    \"idle_share\": {idle:.3},\n",
-                "    \"wait_share\": {wait:.3},\n",
-                "    \"spinup_share\": {spin:.4},\n",
-                "    \"pool_spawns\": {spawns},\n",
-                "    \"pooled_calls\": {pooled},\n",
-                "    \"allocs_per_pass\": {apc:.0}\n",
-                "  }}{comma}\n"
-            ),
-            t = p.threads,
-            eps = p.evals_per_sec,
-            sp = p.speedup,
-            util = p.utilization,
-            imb = p.imbalance,
-            steal = p.steal_ratio,
-            idle = p.idle_share,
-            wait = p.wait_share,
-            spin = p.spinup_share,
-            spawns = p.pool_spawns,
-            pooled = p.pooled_calls,
-            apc = p.allocs_per_pass,
-            comma = comma,
-        ));
-    }
-    out.push_str("}\n");
-    out
+    bench_json(run)
 }
 
 #[cfg(test)]

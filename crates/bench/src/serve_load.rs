@@ -15,12 +15,14 @@
 
 use dp_reverser::ReverseEngineeringResult;
 use dpr_serve::{AnalysisService, Analyzer, JobInput, ServiceConfig, ServiceHealth};
-use dpr_telemetry::json::{self, Value};
+use dpr_telemetry::json;
 use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crate::{bench_json, round_to};
 
 /// Tuning for one load run.
 #[derive(Debug, Clone)]
@@ -347,7 +349,7 @@ pub fn serve_json(run: &LoadRun) -> String {
     let (server_p50, server_p99) = run
         .submit_route()
         .map_or((0.0, 0.0), |r| (r.p50_us, r.p99_us));
-    let record = ServeJson {
+    bench_json(&ServeJson {
         bench: "serve_load",
         quick: run.quick,
         clients: run.config.clients,
@@ -358,22 +360,11 @@ pub fn serve_json(run: &LoadRun) -> String {
         submit_p50_us: run.p50_us,
         submit_p99: run.p99_us,
         submits_per_sec: run.submits_per_sec.round() as u64,
-        http_429_share: (run.http_429_share * 1e4).round() / 1e4,
+        http_429_share: round_to(run.http_429_share, 4),
         allocs_per_request: run.allocs_per_request.round() as u64,
         server_p50_us: server_p50.round() as u64,
         server_p99: server_p99.round() as u64,
-    };
-    // One `"key": value` per line, so a diff against the baseline names
-    // the key that moved.
-    let text = json::to_string(&record).expect("a bench record serializes");
-    let Ok(Value::Object(entries)) = json::parse(&text) else {
-        unreachable!("a struct renders as a JSON object: {text}");
-    };
-    let lines: Vec<String> = entries
-        .iter()
-        .map(|(key, value)| format!("  \"{key}\": {}", value.to_json()))
-        .collect();
-    format!("{{\n{}\n}}\n", lines.join(",\n"))
+    })
 }
 
 #[cfg(test)]

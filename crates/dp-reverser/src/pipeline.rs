@@ -16,7 +16,8 @@ use crate::associate::{match_series_two_pass, LabelSeries, MatchScore};
 use crate::result::{RecoveredEcr, RecoveredEsv, RecoveredKind, ReverseEngineeringResult};
 
 /// The `dpr_prof` label of the inference stage's per-sensor fan-out, so
-/// the pool profile tells that job apart from GP scoring (`gp.score`).
+/// the pool profile tells that job apart from other pool calls in the
+/// process (a fleet run's per-car fan-out, a bench sweep).
 pub const INFERENCE_LABEL: &str = "inference";
 
 /// How the pipeline aligns camera time with bus time (paper §9.4).

@@ -19,18 +19,17 @@
 //!   pre-order slice by the batch evaluator ([`crate::score`]) over a
 //!   column-major [`Columns`] view — bit-identical to the recursive
 //!   walker;
-//! * each generation is bred *sequentially* (all RNG draws happen here,
-//!   selecting from the previous, fully-scored generation) and then scored
-//!   with one `par_map` over the [`dpr_par`] pool in index order. Inside
-//!   the pipeline each fit is already one task of the per-sensor fan-out,
-//!   so that call is nested and drains inline; only a standalone fit
-//!   reaches the pool. Individuals carried over unchanged — the elite,
-//!   reproduction children, and depth-limit fallbacks — reuse their
-//!   parent's cached score instead of being re-evaluated.
+//! * each generation is bred (all RNG draws happen here, selecting from
+//!   the previous, fully-scored generation) and then scored, one
+//!   representative after another in index order, on the fit's own
+//!   thread. Individuals carried over unchanged — the elite, reproduction
+//!   children, and depth-limit fallbacks — reuse their parent's cached
+//!   score instead of being re-evaluated.
 //!
-//! Because scoring is pure and its outputs are reassembled in input order,
-//! a run with `DPR_THREADS=8` produces exactly the same [`FittedModel`] as
-//! a single-threaded run.
+//! A fit is strictly sequential: it never enters the `dpr-par` pool and
+//! reads no thread count, so the same seed gives the same
+//! [`FittedModel`] wherever it runs. Parallelism lives one level up: the
+//! pipeline fits every sensor as one task of a single fan-out.
 //!
 //! Each phase runs under its own child span of `gp.fit` — `gp.breed` and
 //! `gp.score` once per generation, `gp.polish` and `gp.refit` once per
@@ -49,9 +48,6 @@ use crate::genome::{self, Node};
 use crate::model::FittedModel;
 use crate::scaling::ScalePlan;
 use crate::{Dataset, Metric};
-
-/// The `dpr_prof` label scoring calls run under.
-const SCORE_LABEL: &str = "gp.score";
 
 /// Which functions the engine may use as tree nodes.
 ///
@@ -544,13 +540,8 @@ impl SymbolicRegressor {
     /// The rest — individuals breeding copied over unchanged — carry
     /// their parent's score and are not re-scored. The pending genomes
     /// are deduplicated on their slices, and the distinct
-    /// representatives' slices are mapped through the [`dpr_par`] pool.
-    /// A fit that is itself a task of the pipeline's sensor fan-out makes
-    /// a nested call, which drains inline on that task's thread.
-    ///
-    /// Scoring is pure, results come back in index order, and a
-    /// duplicate reuses the bit-identical error its representative
-    /// computed, so the outcome is bit-identical for any `DPR_THREADS`.
+    /// representatives are scored in index order; a duplicate reuses the
+    /// bit-identical error its representative computed.
     /// `evaluations` stays the *logical* count (pending × rows)
     /// regardless of dedup; the physical saving shows up in
     /// `gp.dedup_hits`.
@@ -582,13 +573,11 @@ impl SymbolicRegressor {
             }
         }
         let metric = self.config.metric;
-        // Labelled so the profile store attributes the pool call (and its
-        // per-worker busy/idle/alloc accounting) to GP fitness scoring.
-        let errors: Vec<f64> = dpr_prof::with_label(SCORE_LABEL, || {
-            dpr_par::Pool::from_env().par_map(&groups.reps, |&r| {
-                score_genome(genomes.genome(pending[r]), cols, metric)
-            })
-        });
+        let errors: Vec<f64> = groups
+            .reps
+            .iter()
+            .map(|&r| score_genome(genomes.genome(pending[r]), cols, metric))
+            .collect();
 
         for (&i, &class) in pending.iter().zip(&groups.assign) {
             let error = errors[class as usize];
@@ -627,7 +616,7 @@ impl SymbolicRegressor {
         }
 
         // Ramped half-and-half for the rest. Generation happens first (all
-        // RNG draws, sequential); scoring follows in one parallel pass.
+        // RNG draws); scoring follows in one pass.
         let (lo, hi) = self.config.init_depth;
         let mut depth = lo;
         while population.len() < n {
@@ -711,9 +700,8 @@ impl SymbolicRegressor {
     ///
     /// The breeding loop runs sequentially and consumes the RNG stream in
     /// a fixed order: selection draws only depend on the *previous*
-    /// generation's (already known) scores, never on a sibling's. Scoring
-    /// of the bred children then happens in one deterministic parallel
-    /// pass via [`Self::score_pending`].
+    /// generation's (already known) scores, never on a sibling's. The
+    /// bred children are then scored by [`Self::score_pending`].
     ///
     /// Fitness-cache rule: a score is carried over only when the child is
     /// a copy of the parent genome — the elite copy, a reproduction

@@ -24,12 +24,10 @@
 //!
 //! Fitness scoring evaluates each structurally distinct genome straight
 //! from its pre-order slice, batch-wise over the whole data set
-//! ([`score::error_on`]), and is
-//! one `par_map` over the [`dpr_par`] worker pool (`DPR_THREADS`). In the
-//! pipeline whole fits already run in parallel, one per sensor, so that
-//! call is nested and drains inline. Both are bit-identical to the naive
-//! recursive, sequential evaluation: all randomness stays in the
-//! sequential breeding phase, so the same seed yields the same
+//! ([`score::error_on`]), bit-identically to the naive recursive
+//! evaluation. A fit is sequential and never touches a thread pool; the
+//! pipeline runs whole fits in parallel, one per sensor. All randomness
+//! comes from the fit's seed, so the same seed yields the same
 //! [`FittedModel`] at any thread count.
 //!
 //! # Example

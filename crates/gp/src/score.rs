@@ -359,9 +359,8 @@ thread_local! {
 /// Runs `f` with this thread's persistent [`BatchScratch`].
 ///
 /// The pool's worker threads live for the whole process, so routing
-/// scoring through here amortizes the scratch slabs across *every* pool
-/// call a worker ever serves — not just across one call's chunks the way
-/// a `par_map_init`-built scratch would. This is what keeps the scale
+/// scoring through here amortizes the scratch slabs across *every* fit
+/// a thread ever runs, not just one fit. This is what keeps the scale
 /// bench's `allocs_per_pass` flat as threads are added.
 ///
 /// Must not be re-entered from inside `f` (the scratch is mutably

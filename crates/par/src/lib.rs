@@ -9,6 +9,11 @@
 //! `Vec` — which is what lets the pipeline fit one GP formula per sensor
 //! in parallel without perturbing any fit's deterministic evolution.
 //!
+//! Two fan-outs enter the pool, both over whole independent jobs:
+//! the pipeline's per-sensor inference stage (which `dpr-bench scale`
+//! sweeps) and the bench harness's per-car fleet runs. A GP fit itself
+//! is sequential and never enters the pool.
+//!
 //! # How work is split
 //!
 //! Claims follow capped factoring (`claim_len`): a claim starting at
@@ -33,16 +38,15 @@
 //! is what makes small jobs safe: the already-running submitter starts
 //! claiming items immediately, so wake-up latency overlaps useful work
 //! and a call can never be slower than running inline by more than the
-//! join cost. Earlier versions spawned fresh OS threads on *every*
-//! call, which on the GP fitness path meant thousands of spawns per run
-//! — the `par.pool_spawns` counter now records exactly how many threads
-//! a call actually created (0 once the pool is warm). Because the
+//! join cost. The `par.pool_spawns` counter records how many threads a
+//! call actually created (0 once the pool is warm). Because the
 //! caller blocks until the job completes, borrowed inputs work without
 //! `'static` bounds and a panic in any worker propagates to the caller.
 //!
-//! Nested calls (a mapped function calling `par_map` again) run inline
-//! on the worker thread: the pool has one job slot, so re-entering it
-//! from a worker would deadlock.
+//! Nested calls (a mapped function calling `par_map` again, as a fleet
+//! run's per-car task does through the pipeline's sensor fan-out) run
+//! inline on the worker thread: the pool has one job slot, so
+//! re-entering it from a worker would deadlock.
 //!
 //! # Thread-count resolution
 //!
@@ -101,7 +105,8 @@ pub const THREADS_ENV: &str = "DPR_THREADS";
 /// `DPR_THREADS` is read on every call so tests and long-lived processes
 /// can retune the pool between runs. The core count is cached:
 /// `available_parallelism` re-reads cgroup quota files on every call on
-/// Linux (tens of microseconds), and every GP scoring call lands here.
+/// Linux (tens of microseconds). Code that already knows its thread
+/// count passes it to [`Pool::new`] instead.
 pub fn threads() -> usize {
     if let Ok(v) = std::env::var(THREADS_ENV) {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -152,24 +157,6 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.par_map_init(items, || (), |(), item| f(item))
-    }
-
-    /// Like [`par_map`](Pool::par_map), but hands each worker a private
-    /// scratch state built by `init` (rayon's `map_init` shape). `init`
-    /// runs once per worker per call, so per-item allocation (evaluation
-    /// stacks, buffers) is amortized across the worker's whole share of
-    /// the input.
-    ///
-    /// The state must not influence results (it is scratch, not an
-    /// accumulator) or determinism across thread counts is lost.
-    pub fn par_map_init<T, S, R, FI, F>(&self, items: &[T], init: FI, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        FI: Fn() -> S + Sync,
-        F: Fn(&mut S, &T) -> R + Sync,
-    {
         // Sync the profiling gate (and the allocator's counting flag)
         // once per call, mirroring how DPR_THREADS is re-read per call.
         let prof_on = dpr_prof::refresh();
@@ -177,7 +164,7 @@ impl Pool {
         let n = items.len();
         let workers = self.threads.min(n);
         if workers <= 1 || pool::in_worker() {
-            return run_inline(items, init, f, started, n);
+            return run_inline(items, f, started, n);
         }
 
         let cursor = AtomicUsize::new(0);
@@ -187,14 +174,12 @@ impl Pool {
 
         let ctx = pool::Ctx {
             items,
-            init: &init,
             f: &f,
             workers,
             cursor: &cursor,
             claims: &claims,
             stats: &raw_stats,
             started,
-            _state: std::marker::PhantomData,
         };
         let outcome = pool::run_job(&ctx, workers);
 
@@ -253,14 +238,12 @@ fn registry_start_us(started: Instant) -> u64 {
 }
 
 /// The sequential path: single worker, nested call, or tiny input.
-fn run_inline<T, S, R, FI, F>(items: &[T], init: FI, f: F, started: Instant, n: usize) -> Vec<R>
+fn run_inline<T, R, F>(items: &[T], f: F, started: Instant, n: usize) -> Vec<R>
 where
-    FI: Fn() -> S,
-    F: Fn(&mut S, &T) -> R,
+    F: Fn(&T) -> R,
 {
     let alloc_before = dpr_prof::alloc::thread_alloc_stats();
-    let mut state = init();
-    let out: Vec<R> = items.iter().map(|item| f(&mut state, item)).collect();
+    let out: Vec<R> = items.iter().map(f).collect();
     let wall_us = started.elapsed().as_micros() as u64;
     let alloc = dpr_prof::alloc::thread_alloc_stats().since(alloc_before);
     let profile = CallProfile {
@@ -373,12 +356,6 @@ fn emit_call_metrics(profile: &CallProfile, prof_on: bool) {
     }
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::from_env()
-    }
-}
-
 /// Maps `f` over `items` on the [`Pool::from_env`] pool, in input order.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
@@ -389,21 +366,9 @@ where
     Pool::from_env().par_map(items, f)
 }
 
-/// [`Pool::par_map_init`] on the [`Pool::from_env`] pool.
-pub fn par_map_init<T, S, R, FI, F>(items: &[T], init: FI, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    FI: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    Pool::from_env().par_map_init(items, init, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn preserves_input_order() {
@@ -481,27 +446,6 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(Pool::new(4).par_map(&empty, |x| *x).is_empty());
         assert_eq!(Pool::new(4).par_map(&[7u8], |x| *x + 1), vec![8]);
-    }
-
-    #[test]
-    fn init_state_is_per_worker_scratch() {
-        let inits = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..100).collect();
-        let out = Pool::new(4).par_map_init(
-            &items,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<u32>::new()
-            },
-            |scratch, x| {
-                scratch.push(*x);
-                *x + 1
-            },
-        );
-        assert_eq!(out.len(), 100);
-        assert_eq!(out[99], 100);
-        // One init per worker, not per item.
-        assert!(inits.load(Ordering::Relaxed) <= 4);
     }
 
     #[test]

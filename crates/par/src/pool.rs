@@ -15,11 +15,6 @@
 //! the caller's stack (items, closures, claim results) without `'static`
 //! bounds — that is the invariant the `unsafe` below leans on.
 //!
-//! Parked workers briefly spin (bounded [`PARK_SPINS`] yields) before
-//! sleeping on the condvar, so back-to-back jobs — the GP fitness loop
-//! publishes one per generation — are usually picked up without paying
-//! a kernel wake-up at all.
-//!
 //! There is exactly one job slot: concurrent top-level `par_map` calls
 //! serialize on it, and a nested call from inside a worker runs inline
 //! (see [`in_worker`]) since waiting for the slot from a worker would
@@ -44,7 +39,7 @@ pub(crate) struct RawWorker {
     pub(crate) enter_us: u64,
     /// Microseconds from call entry to the worker finishing the job.
     pub(crate) exit_us: u64,
-    /// Microseconds inside `init` + the mapped function.
+    /// Microseconds inside the mapped function.
     pub(crate) busy_us: u64,
     /// Microseconds claiming items and storing claim results.
     pub(crate) wait_us: u64,
@@ -61,9 +56,8 @@ pub(crate) struct RawWorker {
 
 /// Everything a worker needs to execute one `par_map` call, borrowed
 /// from the submitting frame.
-pub(crate) struct Ctx<'a, T, S, R, FI, F> {
+pub(crate) struct Ctx<'a, T, R, F> {
     pub(crate) items: &'a [T],
-    pub(crate) init: &'a FI,
     pub(crate) f: &'a F,
     /// Participant count; with `items.len()` it fixes every claim's
     /// length (see [`crate::claim_len`]).
@@ -75,7 +69,6 @@ pub(crate) struct Ctx<'a, T, S, R, FI, F> {
     pub(crate) claims: &'a Mutex<Vec<(usize, Vec<R>)>>,
     pub(crate) stats: &'a Mutex<Vec<RawWorker>>,
     pub(crate) started: Instant,
-    pub(crate) _state: std::marker::PhantomData<fn() -> S>,
 }
 
 /// What `run_job` hands back to the caller.
@@ -184,28 +177,22 @@ impl Drop for WorkerScope {
     }
 }
 
-/// Bounded number of `yield_now` loops a worker spins through before
-/// parking on the condvar. Back-to-back jobs (one per GP generation)
-/// arrive well inside this window, skipping the kernel wake-up.
-const PARK_SPINS: usize = 64;
-
 /// Publishes `ctx` as one job for `workers` participants and blocks
 /// until all of them finish. The submitter itself takes worker slot 0;
 /// only `workers - 1` pool threads are woken. Returns the spawn count
 /// and any panic.
-pub(crate) fn run_job<T, S, R, FI, F>(ctx: &Ctx<'_, T, S, R, FI, F>, workers: usize) -> JobOutcome
+pub(crate) fn run_job<T, R, F>(ctx: &Ctx<'_, T, R, F>, workers: usize) -> JobOutcome
 where
     T: Sync,
     R: Send,
-    FI: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
     let shared = shared();
     let registry = dpr_telemetry::registry();
     let panic_slot: Arc<Mutex<Option<Box<dyn Any + Send>>>> = Arc::new(Mutex::new(None));
     let task = Task {
-        data: (ctx as *const Ctx<'_, T, S, R, FI, F>).cast(),
-        run: run_erased::<T, S, R, FI, F>,
+        data: (ctx as *const Ctx<'_, T, R, F>).cast(),
+        run: run_erased::<T, R, F>,
     };
     // The caller is participant 0; the pool contributes the rest.
     let extras = workers - 1;
@@ -270,7 +257,6 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
     loop {
         let job = {
             let mut st = lock(&shared);
-            let mut spins = 0usize;
             loop {
                 let mut claimed = None;
                 if let Some(job) = &st.job {
@@ -286,17 +272,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                 if let Some(job) = claimed {
                     break job;
                 }
-                if spins < PARK_SPINS {
-                    // Spin briefly before parking: the next job usually
-                    // follows within microseconds on the hot GP path, and
-                    // re-checking after a yield beats a condvar round-trip.
-                    spins += 1;
-                    drop(st);
-                    std::thread::yield_now();
-                    st = lock(&shared);
-                } else {
-                    st = wait(&shared.work, st);
-                }
+                st = wait(&shared.work, st);
             }
         };
         // Re-enter the caller's telemetry registry and log context for the
@@ -333,16 +309,15 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
 /// the worker body.
 ///
 /// SAFETY: called only with a `data` pointer produced from the same
-/// `Ctx<'_, T, S, R, FI, F>` instantiation in `run_job`, while that
-/// `Ctx` is alive (the submitter is blocked).
-unsafe fn run_erased<T, S, R, FI, F>(data: *const (), worker: usize)
+/// `Ctx<'_, T, R, F>` instantiation in `run_job`, while that `Ctx` is
+/// alive (the submitter is blocked).
+unsafe fn run_erased<T, R, F>(data: *const (), worker: usize)
 where
     T: Sync,
     R: Send,
-    FI: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
-    let ctx = &*data.cast::<Ctx<'_, T, S, R, FI, F>>();
+    let ctx = &*data.cast::<Ctx<'_, T, R, F>>();
     run_typed(ctx, worker);
 }
 
@@ -366,11 +341,10 @@ fn claim(cursor: &AtomicUsize, n: usize, workers: usize) -> Option<Range<usize>>
 
 /// One worker's share of a job: take claims off the cursor until none
 /// remain, timing every phase. `wait` is cursor-claim plus result-store
-/// time; `busy` is `init` plus the mapped function.
-fn run_typed<T, S, R, FI, F>(ctx: &Ctx<'_, T, S, R, FI, F>, worker: usize)
+/// time; `busy` is the mapped function.
+fn run_typed<T, R, F>(ctx: &Ctx<'_, T, R, F>, worker: usize)
 where
-    FI: Fn() -> S,
-    F: Fn(&mut S, &T) -> R,
+    F: Fn(&T) -> R,
 {
     let enter_us = ctx.started.elapsed().as_micros() as u64;
     let alloc_before = dpr_prof::alloc::thread_alloc_stats();
@@ -378,10 +352,6 @@ where
     let mut wait_t = Duration::ZERO;
     let mut chunks = 0u64;
     let mut items = 0u64;
-
-    let init_start = Instant::now();
-    let mut state = (ctx.init)();
-    busy += init_start.elapsed();
 
     loop {
         let claim_start = Instant::now();
@@ -397,7 +367,7 @@ where
             let _span = dpr_telemetry::Span::enter("par.chunk");
             ctx.items[range]
                 .iter()
-                .map(|item| (ctx.f)(&mut state, item))
+                .map(ctx.f)
                 .collect()
         };
         let mapped = Instant::now();

@@ -102,7 +102,8 @@ thread_local! {
 
 /// Runs `f` with `label` pushed onto the current thread's profile-label
 /// stack, so [`CallProfile`]s recorded inside are attributed to it
-/// (e.g. the GP engine wraps scoring in `with_label("gp.score", ..)`).
+/// (e.g. the pipeline wraps its per-sensor fan-out in
+/// `with_label("inference", ..)`).
 pub fn with_label<R>(label: &'static str, f: impl FnOnce() -> R) -> R {
     struct PopOnDrop;
     impl Drop for PopOnDrop {
