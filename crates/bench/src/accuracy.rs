@@ -19,9 +19,7 @@ use dpr_vehicle::ecu::EsvId;
 use dpr_vehicle::profiles::{self, CarId};
 use serde::Serialize;
 
-use crate::{
-    analyze_traced, bench_json, car_seed, collect_car, par_cars, quick, read_secs, EXPERIMENT_SEED,
-};
+use crate::{analyze_traced, bench_json, car_seed, collect_car, quick, read_secs, EXPERIMENT_SEED};
 
 /// The four cars whose dashboards Tab. 7 validates.
 pub const TAB7_CARS: [CarId; 4] = [CarId::F, CarId::K, CarId::L, CarId::R];
@@ -79,10 +77,10 @@ pub struct CarAccuracy {
     pub dashboard: Option<DashRow>,
 }
 
-/// Collects, analyzes and scores each car across the worker pool, in
+/// Collects, analyzes and scores each car across the `dpr_par` fan-out, in
 /// car order. Each job runs in its own telemetry scope.
 pub fn cars(ids: &[CarId]) -> Vec<CarAccuracy> {
-    par_cars(ids, |id| {
+    dpr_par::par_map(ids, |&id| {
         let seed = car_seed(id);
         let report = collect_car(id, seed, read_secs());
         let result = analyze_traced(id, seed, &report);

@@ -59,7 +59,8 @@ pub struct ScalePoint {
     pub wait_share: f64,
     /// Thread spin-up latency as a share of wall time.
     pub spinup_share: f64,
-    /// OS threads spawned during this point (0 once the pool is warm).
+    /// OS threads spawned during this point (`threads − 1` per pooled
+    /// call).
     pub pool_spawns: u64,
     /// Fan-out calls of this point that ran on the pool rather than
     /// inline (0 at 1 thread; every pass at N threads).

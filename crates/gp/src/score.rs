@@ -358,10 +358,11 @@ thread_local! {
 
 /// Runs `f` with this thread's persistent [`BatchScratch`].
 ///
-/// The pool's worker threads live for the whole process, so routing
-/// scoring through here amortizes the scratch slabs across *every* fit
-/// a thread ever runs, not just one fit. This is what keeps the scale
-/// bench's `allocs_per_pass` flat as threads are added.
+/// A `dpr-par` worker thread lives for one fan-out and the calling
+/// thread for the process, so routing scoring through here amortizes
+/// the scratch slabs across every fit a thread runs, not just one fit.
+/// This is what keeps the scale bench's `allocs_per_pass` flat as
+/// threads are added.
 ///
 /// Must not be re-entered from inside `f` (the scratch is mutably
 /// borrowed for the duration); scoring code has no reason to.

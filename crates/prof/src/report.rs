@@ -39,7 +39,7 @@ fn diagnose(label: &LabelSummary) -> Vec<(f64, String)> {
             spinup,
             format!(
                 "[{}] thread spin-up costs {} of wall time ({} threads spawned over {} calls) — \
-                 spawn latency, not compute, dominates; a persistent pool amortizes it",
+                 spawn latency, not compute, dominates; fewer, larger calls amortize it",
                 label.label,
                 pct(spinup),
                 label.spawned_threads,

@@ -67,8 +67,8 @@ pub struct CallProfile {
     /// Microseconds from the last worker going idle until the call
     /// returned (join + reassembly).
     pub teardown_us: u64,
-    /// OS threads spawned *by this call* (0 once the persistent pool is
-    /// warm — the whole point of `par.pool_spawns`).
+    /// OS threads spawned *by this call*: `workers − 1` for a
+    /// multi-thread call (the caller is worker 0), 0 inline.
     pub spawned_threads: u64,
     /// Whether the call ran inline on the caller's thread.
     pub inline: bool,
